@@ -20,8 +20,6 @@ from bisect import bisect_right
 from collections import Counter
 from itertools import combinations_with_replacement
 
-from scipy.stats import binom
-
 from .kposition import estimate_from_counts
 from .model import CapacityError, DomainError, Response, Transcript
 
@@ -63,6 +61,17 @@ def leq_probability(k_pos: int, k: int, rho: float = 1.0) -> float:
     return rho * p + (1.0 - rho) * (1.0 - p)
 
 
+def binom_pmf(x: int, m: int, p: float) -> float:
+    """Pr[Binomial(m, p) = x], computed in log space; exact at p in {0, 1}."""
+    if p == 0.0:
+        return float(x == 0)
+    if p == 1.0:
+        return float(x == m)
+    log_pmf = (math.lgamma(m + 1) - math.lgamma(x + 1) - math.lgamma(m - x + 1)
+               + x * math.log(p) + (m - x) * math.log1p(-p))
+    return math.exp(log_pmf)
+
+
 def estimator_success_prob(k: int, m: int, k_true: int, rho: float = 1.0) -> float:
     """Exact probability that the m-query estimate returns k_true.
 
@@ -74,9 +83,8 @@ def estimator_success_prob(k: int, m: int, k_true: int, rho: float = 1.0) -> flo
     if not (0 <= k_true <= k):
         raise DomainError(f"k_true must be in [0, {k}], got {k_true}")
     p = leq_probability(k_true, k, rho)
-    good = [x for x in range(m + 1)
-            if estimate_from_counts(x, m, k, rho)[0] == k_true]
-    return float(binom.pmf(good, m, p).sum())
+    return math.fsum(binom_pmf(x, m, p) for x in range(m + 1)
+                     if estimate_from_counts(x, m, k, rho)[0] == k_true)
 
 
 def ml_decode(transcript: Transcript, n: int, k: int, rho: float = 1.0) -> tuple[int, ...]:

@@ -21,7 +21,7 @@ import numpy as np
 from .dense import solve_dense, solve_naive
 from .instances import bin_instance, cluster_instance
 from .model import DomainError, Instance, NoiseModel, Oracle, sample_instance
-from .seeds import derive_seed
+from .seeds import MASK64, derive_seed
 from .walker import solve_walker
 
 CSV_HEADER = ["trial", "seed", "n", "k", "algo", "instance",
@@ -55,6 +55,8 @@ class ExperimentConfig:
             raise DomainError(f"need n >= 1 and k >= 1, got n={self.n}, k={self.k}")
         if self.trials < 1:
             raise DomainError(f"trials must be >= 1, got {self.trials}")
+        if not (0 <= self.master_seed <= MASK64):
+            raise DomainError(f"seed must be in [0, 2^64), got {self.master_seed}")
         if self.algo not in ALGOS:
             raise DomainError(f"unknown algo {self.algo!r}")
         if not (self.instance in INSTANCE_KINDS or self.instance.startswith("file:")):
@@ -108,7 +110,7 @@ def load_instance_file(path: str) -> Instance:
         raise DataError(f"cannot read instance file {path}: {exc}") from exc
     try:
         return Instance.from_json(text)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise DataError(f"malformed instance file {path}: {exc}") from exc
 
 
@@ -159,7 +161,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             "algo": config.algo,
             "instance": config.instance,
             "queries": oracle.query_count,
-            "success": bool(report.success),
+            "success": tuple(report.recovered) == inst.items,
             "elapsed_ms": round(elapsed_ms, 3),
         })
     return result

@@ -88,8 +88,11 @@ def _cmd_bench(args) -> int:
     result = run_experiment(config)
     payload = result.render()
     if config.out_path:
-        with open(config.out_path, "w") as fh:
-            fh.write(payload)
+        try:
+            with open(config.out_path, "w") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise DataError(f"cannot write {config.out_path}: {exc}") from exc
         print(f"wrote {len(result.rows)} rows to {config.out_path} "
               f"(success rate {result.success_rate:.3f})", file=sys.stderr)
     else:

@@ -62,14 +62,11 @@ def solve_dense(oracle: Oracle, n: int, k: int, c: float = 1.0) -> SolverReport:
     total = oracle.query_count - before
     if sum(counts) != k:
         per_target = [(t, None, q) for t, q in zip(range(1, k + 1), _split_even(total, k))]
-        return SolverReport(recovered=[], per_target=per_target,
-                            total_queries=total, success=False)
+        return SolverReport(recovered=[], per_target=per_target, total_queries=total)
     recovered = [y for y, cnt in enumerate(counts, start=1) for _ in range(cnt)]
     per_target = [(t, v, q)
                   for (t, v), q in zip(enumerate(recovered, start=1), _split_even(total, k))]
-    success = tuple(recovered) == oracle.instance.items
-    return SolverReport(recovered=recovered, per_target=per_target,
-                        total_queries=total, success=success)
+    return SolverReport(recovered=recovered, per_target=per_target, total_queries=total)
 
 
 def solve_naive(oracle: Oracle, n: int, k: int, delta: float) -> SolverReport:
@@ -97,6 +94,4 @@ def solve_naive(oracle: Oracle, n: int, k: int, delta: float) -> SolverReport:
         per_target.append((t, lo, oracle.query_count - before))
     recovered = sorted(v for _, v, _ in per_target)
     total = sum(q for _, _, q in per_target)
-    success = tuple(recovered) == oracle.instance.items
-    return SolverReport(recovered=recovered, per_target=per_target,
-                        total_queries=total, success=success)
+    return SolverReport(recovered=recovered, per_target=per_target, total_queries=total)

@@ -68,7 +68,7 @@ def estimate_k_position(oracle: Oracle, y: int, m: int) -> KPosEstimate:
     y = 0 and y = n are analytically forced (0 and k) and cost zero
     queries.
     """
-    n, k = oracle.instance.n, oracle.instance.k
+    n, k = oracle.n, oracle.k
     if not (0 <= y <= n):
         raise DomainError(f"y must be in [0, {n}], got {y}")
     if m < 1:

@@ -7,9 +7,10 @@ previous queries), and the oracle reports whether that element is <= y.
 With comparison noise enabled the report is flipped with probability
 1 - rho.
 
-The oracle never reveals which element was drawn; all solvers work only
-through ``query``/``query_batch``. Ground-truth helpers
-(``k_position_true``) are used by tests and reports only.
+The oracle never reveals which element was drawn. Solvers see only its
+query interface: ``n``, ``k``, ``noise.rho``, ``query_count``,
+``query_batch`` and ``query``. ``Oracle.instance`` and the ground-truth
+helper ``k_position_true`` are for the harness and tests only.
 """
 
 from __future__ import annotations
@@ -73,6 +74,9 @@ def make_instance(n: int, k: int, items) -> Instance:
     """Build a canonical (sorted) instance, validating range and cardinality."""
     if n < 1 or k < 1:
         raise DomainError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+    items = list(items)
+    if any(int(v) != v for v in items):
+        raise DomainError(f"items must be integers, got {items}")
     items = sorted(int(v) for v in items)
     if len(items) != k:
         raise DomainError(f"expected {k} items, got {len(items)}")
@@ -118,15 +122,16 @@ class Oracle:
     def __post_init__(self):
         self._rng = np.random.Generator(np.random.PCG64(self.seed))
         self.query_count = 0
+        self.n, self.k = self.instance.n, self.instance.k
 
     def query_batch(self, y: int, m: int) -> np.ndarray:
         """Perform m independent queries of y; returns a bool array (True = LEQ)."""
-        if not (1 <= y <= self.instance.n):
-            raise DomainError(f"y must be in [1, {self.instance.n}], got {y}")
+        if not (1 <= y <= self.n):
+            raise DomainError(f"y must be in [1, {self.n}], got {y}")
         ky = bisect_right(self.instance.items, y)
         # items are sorted, so a uniform index is <= y exactly when it is
         # among the first ky positions
-        idx = self._rng.integers(0, self.instance.k, size=m)
+        idx = self._rng.integers(0, self.k, size=m)
         leq = idx < ky
         if self.noise.rho < 1.0:
             flips = self._rng.random(m) < (1.0 - self.noise.rho)

@@ -10,18 +10,13 @@ from typing import Optional
 class SolverReport:
     """Recovered multiset with per-target query accounting.
 
-    ``per_target`` holds one (t, value-or-None, queries) triple per hidden
-    element; a None value marks a failed target. ``success`` is set when
-    ground truth is available (always, for simulated oracles): it means
-    every target produced a value and the recovered multiset equals the
-    hidden one.
+    ``recovered`` is sorted ascending. ``per_target`` holds one
+    (t, value-or-None, queries) triple per hidden element; a None value
+    marks a failed target and is left out of ``recovered``. Whether the
+    recovery is right is judged by the caller that holds the instance
+    (``bench.run_experiment``), never by the solver.
     """
 
     recovered: list[int]
     per_target: list[tuple[int, Optional[int], int]]
     total_queries: int
-    success: Optional[bool] = None
-
-    @property
-    def complete(self) -> bool:
-        return all(v is not None for _, v, _ in self.per_target)

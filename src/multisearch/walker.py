@@ -105,7 +105,7 @@ def parent_of(node: WalkNode, n: int) -> WalkNode:
 
 def walk_step(oracle: Oracle, node: WalkNode, t: int, k: int, cfg: WalkConfig) -> WalkNode:
     """One walk step: membership check, then backtrack or descend."""
-    n = oracle.instance.n
+    n = oracle.n
     ka = estimate_k_position(oracle, node.a - 1, cfg.step1_m).k_pos
     kb = estimate_k_position(oracle, node.b, cfg.step1_m).k_pos
     if not (ka <= t - 1 and kb >= t):
@@ -154,7 +154,4 @@ def solve_walker(oracle: Oracle, n: int, k: int, delta: float,
         per_target.append((t, value, oracle.query_count - before))
     recovered = sorted(v for _, v, _ in per_target if v is not None)
     total = sum(q for _, _, q in per_target)
-    complete = len(recovered) == k
-    success = complete and tuple(recovered) == oracle.instance.items
-    return SolverReport(recovered=recovered, per_target=per_target,
-                        total_queries=total, success=success)
+    return SolverReport(recovered=recovered, per_target=per_target, total_queries=total)

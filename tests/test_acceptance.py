@@ -55,10 +55,10 @@ def test_c02_estimator_monte_carlo_vs_oracle():
 
 def test_c03_paper_worked_example():
     inst = make_instance(16, 2, [3, 10])
-    w = sum(solve_walker(Oracle(inst, seed=derive_seed(301, i)), 16, 2, 0.1).success
-            for i in range(200))
-    n = sum(solve_naive(Oracle(inst, seed=derive_seed(302, i)), 16, 2, 0.1).success
-            for i in range(200))
+    w = sum(solve_walker(Oracle(inst, seed=derive_seed(301, i)), 16, 2, 0.1).recovered
+            == [3, 10] for i in range(200))
+    n = sum(solve_naive(Oracle(inst, seed=derive_seed(302, i)), 16, 2, 0.1).recovered
+            == [3, 10] for i in range(200))
     _report("C3 worked example n=16, k=2, S={3,10}", w >= 180 and n >= 180,
             f"walker {w}/200, naive {n}/200")
 
@@ -71,7 +71,7 @@ def test_c04_walker_guarantee_and_budget():
         ts = derive_seed(404, i)
         inst = cluster_instance(256, 4, seed=derive_seed(ts, 1))
         r = solve_walker(Oracle(inst, seed=derive_seed(ts, 2)), 256, 4, 0.1)
-        hits += r.success
+        hits += tuple(r.recovered) == inst.items
         max_q = max(max_q, r.total_queries)
         assert r.total_queries <= budget
     _report("C4 walker success and query budget (n=256, k=4, cluster)",
@@ -110,7 +110,7 @@ def test_c07_dense_solver():
         ts = derive_seed(707, i)
         inst = sample_instance(n, k, "with-replacement", derive_seed(ts, 1))
         r = solve_dense(Oracle(inst, seed=derive_seed(ts, 2)), n, k, c)
-        hits += r.success
+        hits += tuple(r.recovered) == inst.items
         assert r.total_queries == budget
     _report("C7 dense solver (n=8, k=12, c=1)", hits >= 0.85 * 400,
             f"success {hits}/400, per-run budget {budget}")
@@ -122,7 +122,7 @@ def test_c08_noise_robustness():
         ts = derive_seed(808, i)
         inst = sample_instance(64, 2, "with-replacement", derive_seed(ts, 1))
         o = Oracle(inst, NoiseModel(0.75), seed=derive_seed(ts, 2))
-        hits += solve_walker(o, 64, 2, 0.1).success
+        hits += tuple(solve_walker(o, 64, 2, 0.1).recovered) == inst.items
     _report("C8 noisy comparisons rho=0.75 (n=64, k=2)", hits >= 180,
             f"success {hits}/200")
 

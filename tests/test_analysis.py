@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multisearch.analysis import (berndiv_bound_check, estimator_success_prob,
-                                  kl_bernoulli, ml_decode)
+from multisearch.analysis import (berndiv_bound_check, binom_pmf,
+                                  estimator_success_prob, kl_bernoulli,
+                                  ml_decode)
 from multisearch.kposition import estimate_from_counts
 from multisearch.model import (CapacityError, DomainError, Oracle, Response,
                                collect_transcript, make_instance,
@@ -69,6 +70,19 @@ def test_berndiv_domain_errors():
 def test_success_prob_degenerate():
     assert estimator_success_prob(1, 5, 0) == pytest.approx(1.0)
     assert estimator_success_prob(1, 5, 1) == pytest.approx(1.0)
+
+
+def test_binom_pmf_matches_scipy():
+    from scipy.stats import binom
+
+    for m in (1, 7, 640, 20_000):
+        xs = np.unique(np.linspace(0, m, 41).astype(int))
+        for p in (1e-3, 0.25, 0.5, 0.9, 1 - 1e-3):
+            ours = [binom_pmf(int(x), m, p) for x in xs]
+            np.testing.assert_allclose(ours, binom.pmf(xs, m, p), rtol=1e-9, atol=1e-300)
+        # exact, not rounded, at the ends of the noiseless channel
+        assert [binom_pmf(x, m, 0.0) for x in (0, m)] == [1.0, 0.0]
+        assert [binom_pmf(x, m, 1.0) for x in (0, m)] == [0.0, 1.0]
 
 
 def test_success_prob_frozen_values():

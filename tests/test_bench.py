@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import multisearch.bench
 from multisearch.bench import (CSV_HEADER, DataError, ExperimentConfig,
                                fit_scaling, run_experiment)
 from multisearch.model import DomainError, make_instance
@@ -70,11 +71,22 @@ def test_run_experiment_row_schema():
     assert [r["trial"] for r in parsed] == [0, 1, 2]
 
 
-def test_run_experiment_success_is_multiset_equality(tmp_path):
+def test_run_experiment_success_is_multiset_equality(tmp_path, monkeypatch):
     path = tmp_path / "inst.json"
     path.write_text(make_instance(16, 2, [3, 10]).to_json())
-    res = run_experiment(_config(instance=f"file:{path}", trials=30))
-    assert res.success_rate >= 0.9
+    config = _config(instance=f"file:{path}", trials=30)
+    assert run_experiment(config).success_rate >= 0.9
+
+    # the harness judges the recovered multiset, whatever the solver returns
+    solve_walker = multisearch.bench.solve_walker
+
+    def off_by_one(*args):
+        report = solve_walker(*args)
+        report.recovered[-1] += 1
+        return report
+
+    monkeypatch.setattr(multisearch.bench, "solve_walker", off_by_one)
+    assert run_experiment(config).success_rate == 0.0
 
 
 def test_run_experiment_all_algos():
@@ -135,11 +147,21 @@ def test_cli_usage_error_exit_2():
     assert _cli("bench", "--n", "16", "--k", "2", "--algo", "bogus").returncode == 2
     assert _cli("bench", "--k", "2").returncode == 2  # missing --n
     assert _cli("bench", "--n", "16", "--k", "2", "--rho", "0.3").returncode == 2
+    # seeds are 64-bit: 2^64 + 5 must not alias --seed 5
+    for seed in ("-1", str(2**64 + 5)):
+        proc = _cli("bench", "--n", "16", "--k", "2", "--trials", "1", "--seed", seed)
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr
 
 
 def test_cli_data_error_exit_3(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text("[1,2,3]")
-    proc = _cli("bench", "--n", "16", "--k", "2",
-                "--instance", f"file:{path}")
-    assert proc.returncode == 3
+    for name, text in [("bad.json", "[1,2,3]"),
+                       ("float.json", '{"n": 4, "k": 2, "items": [2.9, 1.5]}'),
+                       ("inf.json", '{"n": 4, "k": 1, "items": [Infinity]}')]:
+        path = tmp_path / name
+        path.write_text(text)
+        proc = _cli("bench", "--n", "16", "--k", "2",
+                    "--instance", f"file:{path}")
+        assert proc.returncode == 3 and "Traceback" not in proc.stderr, name
+    proc = _cli("bench", "--n", "16", "--k", "2", "--trials", "1",
+                "--out", str(tmp_path / "missing" / "rows.csv"))
+    assert proc.returncode == 3 and "Traceback" not in proc.stderr

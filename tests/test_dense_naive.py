@@ -35,13 +35,11 @@ def test_solve_dense_examples():
     inst = make_instance(4, 4, [1, 2, 2, 4])
     r = solve_dense(Oracle(inst, seed=3), 4, 4, c=2.0)
     assert r.recovered == [1, 2, 2, 4]
-    assert r.success
     assert r.total_queries == 3 * queries_for_confidence(4, 4.0 ** -3)
 
     trivial = solve_dense(Oracle(make_instance(1, 5, [1] * 5), seed=0), 1, 5)
     assert trivial.recovered == [1] * 5
     assert trivial.total_queries == 0
-    assert trivial.success
 
 
 def test_solve_dense_budget_closed_form():
@@ -63,7 +61,8 @@ def test_solve_dense_success_rate():
     for i in range(trials):
         ts = derive_seed(29, i)
         inst = sample_instance(8, 12, "with-replacement", derive_seed(ts, 1))
-        hits += solve_dense(Oracle(inst, seed=derive_seed(ts, 2)), 8, 12, 1.0).success
+        r = solve_dense(Oracle(inst, seed=derive_seed(ts, 2)), 8, 12, 1.0)
+        hits += tuple(r.recovered) == inst.items
     assert hits / trials >= 0.85
 
 
@@ -80,7 +79,6 @@ def test_solve_naive_trivial():
     for seed in range(5):
         r = solve_naive(Oracle(make_instance(2, 1, [2]), seed=seed), 2, 1, 0.1)
         assert r.recovered == [2]
-        assert r.success
 
 
 def test_solve_naive_probe_count():
@@ -102,7 +100,7 @@ def test_naive_costs_more_than_walker():
     inst = make_instance(n, k, [500 * (i + 1) for i in range(k)])
     naive = solve_naive(Oracle(inst, seed=7), n, k, 0.1)
     walker = solve_walker(Oracle(inst, seed=7), n, k, 0.1)
-    assert walker.success and naive.success
+    assert tuple(walker.recovered) == tuple(naive.recovered) == inst.items
     # report-only comparison in the benchmark harness; here just sanity
     assert naive.total_queries > 0 and walker.total_queries > 0
 

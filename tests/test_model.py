@@ -29,6 +29,9 @@ def test_make_instance_errors():
         make_instance(4, 2, [0, 1])  # below range
     with pytest.raises(DomainError):
         make_instance(0, 1, [1])
+    with pytest.raises(DomainError):
+        make_instance(4, 2, [2.9, 1.5])  # not truncated to (1, 2)
+    assert make_instance(4, 2, [2.0, 1.0]).items == (1, 2)
 
 
 def test_sample_instance_forced_cases():
