@@ -1,8 +1,9 @@
 """Independent verification oracles.
 
 Everything here is exact or brute-force and deliberately shares no code
-path with the solvers it checks (except the single rounding pipeline,
-which is shared on purpose so estimator and oracle cannot drift apart):
+path with the solvers it checks, except the rounding pipeline and the
+query law ``model.leq_probability``, shared on purpose so that neither
+can drift apart from what it checks:
 
 - ``kl_bernoulli`` / ``berndiv_bound_check``: closed-form KL divergence
   in bits, and the numeric check that KL(B_{p +- eps} || B_p) stays below
@@ -21,7 +22,8 @@ from collections import Counter
 from itertools import combinations_with_replacement
 
 from .kposition import estimate_from_counts
-from .model import CapacityError, DomainError, Response, Transcript
+from .model import (CapacityError, DomainError, Response, Transcript,
+                    leq_probability)
 
 _NEG_INF = float("-inf")
 
@@ -53,12 +55,6 @@ def berndiv_bound_check(p: float, eps: float) -> bool:
     bound = 32.0 * eps * eps / (3.0 * math.log(2.0))
     return (kl_bernoulli(p + eps, p) <= bound
             and kl_bernoulli(p - eps, p) <= bound)
-
-
-def leq_probability(k_pos: int, k: int, rho: float = 1.0) -> float:
-    """Pr[LEQ response] for a value with true k-position k_pos under noise rho."""
-    p = k_pos / k
-    return rho * p + (1.0 - rho) * (1.0 - p)
 
 
 def binom_pmf(x: int, m: int, p: float) -> float:

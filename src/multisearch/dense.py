@@ -11,7 +11,7 @@ comparison.
 from __future__ import annotations
 
 from .kposition import estimate_k_position, queries_for_confidence
-from .model import DomainError, Oracle
+from .model import DomainError, Oracle, check_oracle_shape
 from .reports import SolverReport
 from .walker import ceil_log2
 
@@ -45,8 +45,7 @@ def _split_even(total: int, k: int) -> list[int]:
 
 def solve_dense(oracle: Oracle, n: int, k: int, c: float = 1.0) -> SolverReport:
     """Recover the multiset from a full k-position profile over [1, n]."""
-    if k < 1 or n < 1:
-        raise DomainError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+    check_oracle_shape(oracle, n, k)
     if c <= 0:
         raise DomainError(f"c must be positive, got {c}")
     before = oracle.query_count
@@ -75,7 +74,8 @@ def solve_naive(oracle: Oracle, n: int, k: int, delta: float) -> SolverReport:
     Each probe estimates a k-position at confidence delta / (k * ceil(log2 n)),
     so a union bound over all probes keeps the overall error below delta.
     """
-    if not (1 <= k <= n):
+    check_oracle_shape(oracle, n, k)
+    if k > n:
         raise DomainError(f"naive solver needs 1 <= k <= n, got k={k}, n={n}")
     if not (0.0 < delta < 1.0):
         raise DomainError(f"delta must be in (0, 1), got {delta}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import DomainError, Instance, make_instance
+from .model import DomainError, Instance, check_int64_range, make_instance
 
 
 def cluster_instance(n: int, k: int, seed: int) -> Instance:
@@ -21,6 +21,7 @@ def cluster_instance(n: int, k: int, seed: int) -> Instance:
     if n % k != 0:
         raise DomainError(f"cluster instance needs k | n, got n={n}, k={k}")
     width = n // k
+    check_int64_range(width)
     rng = np.random.Generator(np.random.PCG64(seed))
     offsets = rng.integers(0, width, size=k)
     items = [i * width + 1 + int(off) for i, off in enumerate(offsets)]

@@ -1,12 +1,13 @@
 """Estimating the k-position of a value by repeated sampling.
 
-The probability of a LEQ response to a query of y is K_y / k where K_y is
-the number of hidden elements <= y (noiseless case), so K_y can be read
-off a sufficiently long run of queries by rounding the empirical LEQ
-fraction to the nearest multiple of 1/k. ``queries_for_confidence`` gives
-the sample budget for a target failure probability; with comparison noise
-the budget scales by (2*rho - 1)^-2 and the raw fraction is de-biased
-through the exact inverse of the flip channel before rounding.
+A query of y answers LEQ with probability ``model.leq_probability``, the
+one forward law: K_y / k in the noiseless case, where K_y is the number
+of hidden elements <= y, so K_y can be read off a sufficiently long run
+of queries by rounding the empirical LEQ fraction to the nearest multiple
+of 1/k. ``queries_for_confidence`` gives the sample budget for a target
+failure probability; with comparison noise the budget scales by
+(2*rho - 1)^-2 and the raw fraction is de-biased through the exact
+inverse of ``leq_probability`` before rounding.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ def queries_for_confidence(k: int, delta: float, rho: float = 1.0) -> int:
         raise DomainError(f"delta must be in (0, 1), got {delta}")
     if not (0.5 < rho <= 1.0):
         raise DomainError(f"rho must be in (1/2, 1], got {rho}")
-    base = 2.0 * k * k * math.log2(2.0 / delta)
+    base = 2.0 * k * k * (1.0 - math.log2(delta))
     return math.ceil(base / (2.0 * rho - 1.0) ** 2)
 
 

@@ -5,7 +5,9 @@ simulates one round of the query protocol: the caller names a value y,
 one hidden element is drawn uniformly at random (independently of all
 previous queries), and the oracle reports whether that element is <= y.
 With comparison noise enabled the report is flipped with probability
-1 - rho.
+1 - rho. ``leq_probability`` is the one statement of that law, the forward
+noise channel: the oracle samples it, the exact oracles in ``analysis``
+evaluate it, and ``kposition`` de-biases through its inverse.
 
 The oracle never reveals which element was drawn. Solvers see only its
 query interface: ``n``, ``k``, ``noise.rho``, ``query_count``,
@@ -85,8 +87,15 @@ def make_instance(n: int, k: int, items) -> Instance:
     return Instance(n=n, k=k, items=tuple(items))
 
 
+def check_int64_range(n: int) -> None:
+    """Reject n >= 2^63: numpy draws instance values as int64."""
+    if n >= 2**63:
+        raise DomainError(f"random instances need a range below 2^63, got {n}")
+
+
 def sample_instance(n: int, k: int, mode: str, seed: int) -> Instance:
     """Sample a random instance: k i.i.d. uniform values, or a uniform k-subset."""
+    check_int64_range(n)
     rng = np.random.Generator(np.random.PCG64(seed))
     if mode == "with-replacement":
         items = rng.integers(1, n + 1, size=k)
@@ -97,6 +106,12 @@ def sample_instance(n: int, k: int, mode: str, seed: int) -> Instance:
     else:
         raise DomainError(f"unknown sampling mode {mode!r}")
     return make_instance(n, k, items.tolist())
+
+
+def leq_probability(k_pos: int, k: int, rho: float = 1.0) -> float:
+    """Pr[LEQ response] for a value with true k-position k_pos under noise rho."""
+    p = k_pos / k
+    return rho * p + (1.0 - rho) * (1.0 - p)
 
 
 def k_position_true(instance: Instance, y: int) -> int:
@@ -128,19 +143,19 @@ class Oracle:
         """Perform m independent queries of y; returns a bool array (True = LEQ)."""
         if not (1 <= y <= self.n):
             raise DomainError(f"y must be in [1, {self.n}], got {y}")
-        ky = bisect_right(self.instance.items, y)
-        # items are sorted, so a uniform index is <= y exactly when it is
-        # among the first ky positions
-        idx = self._rng.integers(0, self.k, size=m)
-        leq = idx < ky
-        if self.noise.rho < 1.0:
-            flips = self._rng.random(m) < (1.0 - self.noise.rho)
-            leq = leq ^ flips
+        p = leq_probability(k_position_true(self.instance, y), self.k, self.noise.rho)
         self.query_count += m
-        return leq
+        return self._rng.random(m) < p
 
     def query(self, y: int) -> Response:
         return Response.LEQ if self.query_batch(y, 1)[0] else Response.GT
+
+
+def check_oracle_shape(oracle: Oracle, n: int, k: int) -> None:
+    """Raise DomainError unless a solver's (n, k) is the oracle's own."""
+    if (n, k) != (oracle.n, oracle.k):
+        raise DomainError(f"(n, k) = ({n}, {k}) disagrees with the oracle's "
+                          f"({oracle.n}, {oracle.k})")
 
 
 def collect_transcript(oracle: Oracle, ys) -> Transcript:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .kposition import estimate_k_position, queries_for_confidence
-from .model import DomainError, Oracle
+from .model import DomainError, Oracle, check_oracle_shape
 from .reports import SolverReport
 
 # Per-step endpoint checks use budget for failure prob 1/8 each (8k^2 at
@@ -77,7 +77,7 @@ def choose_walk_length(n: int, delta: float) -> int:
         raise DomainError(f"delta must be in (0, 1), got {delta}")
     if delta >= 1.0 / n:
         return 70 * max(1, ceil_log2(n))
-    return 70 * max(1, math.ceil(math.log2(1.0 / delta)))
+    return 70 * max(1, math.ceil(-math.log2(delta)))
 
 
 def midpoint(node: WalkNode) -> int:
@@ -103,7 +103,7 @@ def parent_of(node: WalkNode, n: int) -> WalkNode:
         cur = nxt
 
 
-def walk_step(oracle: Oracle, node: WalkNode, t: int, k: int, cfg: WalkConfig) -> WalkNode:
+def walk_step(oracle: Oracle, node: WalkNode, t: int, cfg: WalkConfig) -> WalkNode:
     """One walk step: membership check, then backtrack or descend."""
     n = oracle.n
     ka = estimate_k_position(oracle, node.a - 1, cfg.step1_m).k_pos
@@ -129,11 +129,12 @@ def walk_step(oracle: Oracle, node: WalkNode, t: int, k: int, cfg: WalkConfig) -
 
 def find_tth(oracle: Oracle, t: int, n: int, k: int, cfg: WalkConfig) -> Optional[int]:
     """Walk cfg.m steps from the root; return the leaf value, or None on failure."""
+    check_oracle_shape(oracle, n, k)
     if not (1 <= t <= k):
         raise DomainError(f"t must be in [1, {k}], got {t}")
     node = WalkNode(1, n)
     for _ in range(cfg.m):
-        node = walk_step(oracle, node, t, k, cfg)
+        node = walk_step(oracle, node, t, cfg)
     return node.a if node.is_leaf else None
 
 
@@ -144,8 +145,7 @@ def solve_walker(oracle: Oracle, n: int, k: int, delta: float,
     The query-complexity guarantee is stated for k <= n; the walk itself
     runs for any k >= 1 (for n = 1 it trivially parks on the only leaf).
     """
-    if k < 1 or n < 1:
-        raise DomainError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+    check_oracle_shape(oracle, n, k)
     cfg = WalkConfig.for_problem(n, k, delta, oracle.noise.rho, faithful_chain_queries)
     per_target = []
     for t in range(1, k + 1):

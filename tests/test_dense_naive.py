@@ -8,7 +8,7 @@ from multisearch.kposition import queries_for_confidence
 from multisearch.model import (DomainError, Oracle, k_position_true,
                                make_instance)
 from multisearch.seeds import derive_seed
-from multisearch.walker import ceil_log2
+from multisearch.walker import WalkConfig, ceil_log2, find_tth, solve_walker
 
 
 def test_ground_truth_profile_recovers_instance():
@@ -94,8 +94,6 @@ def test_solve_naive_probe_count():
 
 def test_naive_costs_more_than_walker():
     # the naive baseline pays the extra log(2 k log n) factor
-    from multisearch.walker import solve_walker
-
     n, k = 2**16, 8
     inst = make_instance(n, k, [500 * (i + 1) for i in range(k)])
     naive = solve_naive(Oracle(inst, seed=7), n, k, 0.1)
@@ -110,6 +108,22 @@ def test_preconditions():
     with pytest.raises(DomainError):
         solve_naive(o, 4, 5, 0.1)  # k > n
     with pytest.raises(DomainError):
+        solve_naive(Oracle(make_instance(2, 3, [1, 1, 2])), 2, 3, 0.1)  # k > n
+    with pytest.raises(DomainError):
         solve_naive(o, 4, 2, 1.5)
     with pytest.raises(DomainError):
         solve_dense(o, 4, 2, c=0.0)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda o: solve_naive(o, 8, 2, 0.1),
+    lambda o: solve_dense(o, 16, 1, 1.0),
+    lambda o: solve_walker(o, 16, 3, 0.1),
+    lambda o: find_tth(o, 1, 16, 3, WalkConfig.for_problem(16, 3, 0.1)),
+], ids=["naive-n", "dense-k", "walker-k", "find_tth-k"])
+def test_solvers_reject_n_k_unlike_the_oracle(solve):
+    # a solver runs only on the (n, k) of the oracle it is given
+    o = Oracle(make_instance(16, 2, [3, 10]), seed=0)
+    with pytest.raises(DomainError):
+        solve(o)
+    assert o.query_count == 0

@@ -22,6 +22,13 @@ def test_cluster_divisibility_error():
         cluster_instance(16, 3, seed=0)
 
 
+def test_cluster_int64_range():
+    # the cluster width goes to numpy as an int64 bound: below 2^63 only
+    assert cluster_instance(2 * (2**63 - 1), 2, seed=0).items[1] > 2**63
+    with pytest.raises(DomainError):
+        cluster_instance(2**64, 2, seed=0)
+
+
 def test_cluster_deterministic():
     assert cluster_instance(64, 8, seed=5) == cluster_instance(64, 8, seed=5)
 

@@ -11,6 +11,8 @@ def test_budget_examples():
     assert queries_for_confidence(2, 1 / 8) == 32
     assert queries_for_confidence(2, 1 / 16) == 40
     assert queries_for_confidence(1, 1 / 2) == 4
+    # subnormal delta: 2 / delta overflows, log2(delta) does not
+    assert queries_for_confidence(2, 1e-320) == 8513  # ceil(8 * (1 + 1063.017))
 
 
 def test_budget_noise_scaling():

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multisearch.analysis import binom_pmf
 from multisearch.model import (DomainError, Instance, NoiseModel, Oracle,
-                               Response, k_position_true, make_instance,
-                               sample_instance)
+                               Response, k_position_true, leq_probability,
+                               make_instance, sample_instance)
 
 
 def test_make_instance_canonical():
@@ -49,6 +50,14 @@ def test_sample_instance_deterministic():
 def test_sample_instance_distinct_requires_k_le_n():
     with pytest.raises(DomainError):
         sample_instance(3, 4, "distinct", 0)
+
+
+@pytest.mark.parametrize("mode", ["with-replacement", "distinct"])
+def test_sample_instance_int64_range(mode):
+    # numpy draws int64 values: n = 2^63 - 1 is the largest range it covers
+    assert max(sample_instance(2**63 - 1, 2, mode, 0).items) < 2**63
+    with pytest.raises(DomainError):
+        sample_instance(2**63, 2, mode, 0)
 
 
 def test_noise_model_bounds():
@@ -128,6 +137,32 @@ def test_query_distribution(rho, y):
     ky = k_position_true(inst, y)
     expected = rho * ky / inst.k + (1 - rho) * (1 - ky / inst.k)
     assert abs(freq - expected) < 4 * math.sqrt(0.25 / big_n)
+
+
+@pytest.mark.parametrize("rho", [1.0, 0.8])
+@pytest.mark.parametrize("y", [1, 3, 9])  # K_y = 0, 1, 3
+def test_query_count_distribution(rho, y):
+    # counts of 12 consecutive answers must follow Binomial(12, p) as a whole
+    # law, not only in the mean: chi-square over bins whose expected count is
+    # at least 5 (tails pooled), below its 0.999 quantile
+    from scipy.stats import chi2
+
+    inst = make_instance(9, 3, [2, 5, 5])
+    m, trials = 12, 50_000
+    o = Oracle(inst, NoiseModel(rho), seed=2024)
+    counts = o.query_batch(y, m * trials).reshape(trials, m).sum(axis=1)
+    observed = np.bincount(counts, minlength=m + 1)
+    p = leq_probability(k_position_true(inst, y), inst.k, rho)
+    if p in (0.0, 1.0):
+        assert observed[round(p * m)] == trials
+        return
+    expected = trials * np.array([binom_pmf(x, m, p) for x in range(m + 1)])
+    lo = int(np.argmax(np.cumsum(expected) >= 5))
+    hi = m - int(np.argmax(np.cumsum(expected[::-1]) >= 5))
+    pool = lambda a: np.concatenate(([a[:lo + 1].sum()], a[lo + 1:hi], [a[hi:].sum()]))
+    obs, exp = pool(observed), pool(expected)
+    stat = float(((obs - exp) ** 2 / exp).sum())
+    assert stat < chi2.ppf(0.999, len(obs) - 1), (stat, obs, exp)
 
 
 def test_instance_json_roundtrip():

@@ -11,6 +11,8 @@ def test_walk_length_rules():
     assert choose_walk_length(1024, 0.1) == 700
     assert choose_walk_length(1024, 2**-20) == 1400
     assert choose_walk_length(2, 0.5) == 70
+    # subnormal delta: 1 / delta overflows, log2(delta) does not
+    assert choose_walk_length(16, 1e-320) == 70 * 1064
 
 
 def test_walk_length_rejects_bad_delta():
@@ -42,7 +44,7 @@ def test_walk_step_descends_from_root():
     # membership holds at the root and K(8)=1 >= t=1, so go left
     inst = make_instance(16, 2, [3, 10])
     o = Oracle(inst, seed=4)
-    nxt = walk_step(o, WalkNode(1, 16), t=1, k=2, cfg=_cfg(16, 2))
+    nxt = walk_step(o, WalkNode(1, 16), t=1, cfg=_cfg(16, 2))
     assert nxt == WalkNode(1, 8)
 
 
@@ -50,7 +52,7 @@ def test_walk_step_backtracks_on_failed_membership():
     # K(12) = 2 > t-1 = 0, exact at rho=1, so membership fails -> parent
     inst = make_instance(16, 2, [3, 10])
     o = Oracle(inst, seed=4)
-    nxt = walk_step(o, WalkNode(13, 16), t=1, k=2, cfg=_cfg(16, 2))
+    nxt = walk_step(o, WalkNode(13, 16), t=1, cfg=_cfg(16, 2))
     assert nxt == WalkNode(9, 16)
 
 
@@ -58,7 +60,7 @@ def test_walk_step_chain_descends():
     inst = make_instance(16, 2, [3, 10])
     o = Oracle(inst, seed=6)
     before = o.query_count
-    nxt = walk_step(o, WalkNode(3, 3, chain_depth=2), t=1, k=2, cfg=_cfg(16, 2))
+    nxt = walk_step(o, WalkNode(3, 3, chain_depth=2), t=1, cfg=_cfg(16, 2))
     assert nxt == WalkNode(3, 3, chain_depth=3)
     # chain steps skip the midpoint budget by default
     assert o.query_count - before == 2 * _cfg(16, 2).step1_m
@@ -68,7 +70,7 @@ def test_faithful_chain_queries_spends_midpoint_budget():
     inst = make_instance(16, 2, [3, 10])
     cfg = _cfg(16, 2, faithful=True)
     o = Oracle(inst, seed=6)
-    walk_step(o, WalkNode(3, 3, chain_depth=2), t=1, k=2, cfg=cfg)
+    walk_step(o, WalkNode(3, 3, chain_depth=2), t=1, cfg=cfg)
     assert o.query_count == 2 * cfg.step1_m + cfg.step2_m
 
 
@@ -77,7 +79,7 @@ def test_walk_step_chain_backtracks_on_wrong_leaf():
     # exact at rho=1, so membership fails and the walk climbs the chain
     inst = make_instance(16, 2, [3, 10])
     o = Oracle(inst, seed=8)
-    nxt = walk_step(o, WalkNode(5, 5, chain_depth=2), t=1, k=2, cfg=_cfg(16, 2))
+    nxt = walk_step(o, WalkNode(5, 5, chain_depth=2), t=1, cfg=_cfg(16, 2))
     assert nxt == WalkNode(5, 5, chain_depth=1)
 
 
@@ -85,7 +87,7 @@ def test_backtrack_reaches_root():
     # membership fails at node [1,2]: K(2) = 0 < t = 1, exact at rho=1
     inst = make_instance(4, 1, [4])
     o = Oracle(inst, seed=0)
-    nxt = walk_step(o, WalkNode(1, 2), t=1, k=1, cfg=_cfg(4, 1))
+    nxt = walk_step(o, WalkNode(1, 2), t=1, cfg=_cfg(4, 1))
     assert nxt == WalkNode(1, 4)
 
 
@@ -179,7 +181,7 @@ def test_wrong_move_fraction_below_bound():
             o = Oracle(inst, seed=derive_seed(62, 10 * i + t))
             node = WalkNode(1, 256)
             for _ in range(cfg.m):
-                nxt = walk_step(o, node, t, 4, cfg)
+                nxt = walk_step(o, node, t, cfg)
                 wrong += nxt != _correct_move(node, target, 256, cfg.m)
                 total += 1
                 node = nxt
