@@ -3,7 +3,7 @@
 A benchmark run is fully determined by its config and master seed: trial
 i derives seed_i = derive_seed(master_seed, i), the instance (when
 sampled) uses derive_seed(seed_i, 1) and the oracle derive_seed(seed_i, 2).
-Result rows are written as CSV (fixed header) or JSON; ``elapsed_ms`` is
+Result rows render as CSV (fixed header) or JSON; ``elapsed_ms`` is
 informational and excluded from any reproducibility contract.
 """
 
@@ -27,8 +27,19 @@ from .walker import solve_walker
 CSV_HEADER = ["trial", "seed", "n", "k", "algo", "instance",
               "queries", "success", "elapsed_ms"]
 
-ALGOS = ("walker", "dense", "naive")
-INSTANCE_KINDS = ("uniform", "distinct", "cluster", "bins")
+# each solver and each instance generator is named once, here
+SOLVERS = {
+    "walker": lambda oracle, inst, cfg: solve_walker(
+        oracle, inst.n, inst.k, cfg.delta, cfg.faithful_chain_queries),
+    "dense": lambda oracle, inst, cfg: solve_dense(oracle, inst.n, inst.k, cfg.dense_c),
+    "naive": lambda oracle, inst, cfg: solve_naive(oracle, inst.n, inst.k, cfg.delta),
+}
+GENERATORS = {
+    "uniform": lambda n, k, seed: sample_instance(n, k, "with-replacement", seed),
+    "distinct": lambda n, k, seed: sample_instance(n, k, "distinct", seed),
+    "cluster": cluster_instance,
+    "bins": bin_instance,
+}
 
 
 class DataError(Exception):
@@ -47,8 +58,6 @@ class ExperimentConfig:
     master_seed: int = 0
     dense_c: float = 1.0
     faithful_chain_queries: bool = False
-    out_path: str | None = None
-    out_format: str = "csv"
 
     def validate(self):
         if self.n < 1 or self.k < 1:
@@ -57,41 +66,32 @@ class ExperimentConfig:
             raise DomainError(f"trials must be >= 1, got {self.trials}")
         if not (0 <= self.master_seed <= MASK64):
             raise DomainError(f"seed must be in [0, 2^64), got {self.master_seed}")
-        if self.algo not in ALGOS:
+        if self.algo not in SOLVERS:
             raise DomainError(f"unknown algo {self.algo!r}")
-        if not (self.instance in INSTANCE_KINDS or self.instance.startswith("file:")):
+        if not (self.instance in GENERATORS or self.instance.startswith("file:")):
             raise DomainError(f"unknown instance kind {self.instance!r}")
         if not (0.0 < self.delta < 1.0):
             raise DomainError(f"delta must be in (0, 1), got {self.delta}")
         if not (0.5 < self.rho <= 1.0):
             raise DomainError(f"rho must be in (1/2, 1], got {self.rho}")
-        if self.dense_c <= 0:
+        if not self.dense_c > 0:
             raise DomainError(f"dense-c must be positive, got {self.dense_c}")
-        if self.out_format not in ("csv", "json"):
-            raise DomainError(f"format must be csv or json, got {self.out_format!r}")
 
 
 @dataclass
 class ExperimentResult:
-    config: ExperimentConfig
     rows: list[dict] = field(default_factory=list)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for row in self.rows:
-            writer.writerow([row["trial"], row["seed"], row["n"], row["k"],
-                             row["algo"], row["instance"], row["queries"],
-                             "true" if row["success"] else "false",
-                             row["elapsed_ms"]])
+        writer = csv.DictWriter(buf, CSV_HEADER, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows({**row, "success": "true" if row["success"] else "false"}
+                         for row in self.rows)
         return buf.getvalue()
 
     def to_json(self) -> str:
         return json.dumps(self.rows, indent=2)
-
-    def render(self) -> str:
-        return self.to_json() if self.config.out_format == "json" else self.to_csv()
 
     @property
     def success_rate(self) -> float:
@@ -114,44 +114,25 @@ def load_instance_file(path: str) -> Instance:
         raise DataError(f"malformed instance file {path}: {exc}") from exc
 
 
-def _trial_instance(config: ExperimentConfig, seed: int,
-                    fixed: Instance | None) -> Instance:
-    if fixed is not None:
-        return fixed
-    if config.instance == "uniform":
-        return sample_instance(config.n, config.k, "with-replacement", seed)
-    if config.instance == "distinct":
-        return sample_instance(config.n, config.k, "distinct", seed)
-    if config.instance == "cluster":
-        return cluster_instance(config.n, config.k, seed)
-    return bin_instance(config.n, config.k, seed)
-
-
-def _run_solver(config: ExperimentConfig, oracle: Oracle, inst: Instance):
-    if config.algo == "walker":
-        return solve_walker(oracle, inst.n, inst.k, config.delta,
-                            config.faithful_chain_queries)
-    if config.algo == "naive":
-        return solve_naive(oracle, inst.n, inst.k, config.delta)
-    return solve_dense(oracle, inst.n, inst.k, config.dense_c)
-
-
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Run config.trials seeded trials; deterministic except elapsed_ms."""
+    """Run config.trials seeded trials; deterministic except elapsed_ms.
+
+    A ``file:`` instance fixes n and k; config.n and config.k are unused.
+    """
     config.validate()
-    fixed = None
     if config.instance.startswith("file:"):
         fixed = load_instance_file(config.instance[len("file:"):])
-        if fixed.n != config.n or fixed.k != config.k:
-            config = ExperimentConfig(**{**config.__dict__,
-                                         "n": fixed.n, "k": fixed.k})
-    result = ExperimentResult(config=config)
+        generate = lambda n, k, seed: fixed
+    else:
+        generate = GENERATORS[config.instance]
+    solve = SOLVERS[config.algo]
+    result = ExperimentResult()
     for i in range(config.trials):
         trial_seed = derive_seed(config.master_seed, i)
-        inst = _trial_instance(config, derive_seed(trial_seed, 1), fixed)
+        inst = generate(config.n, config.k, derive_seed(trial_seed, 1))
         oracle = Oracle(inst, NoiseModel(config.rho), seed=derive_seed(trial_seed, 2))
         t0 = time.perf_counter()
-        report = _run_solver(config, oracle, inst)
+        report = solve(oracle, inst, config)
         elapsed_ms = (time.perf_counter() - t0) * 1000.0
         result.rows.append({
             "trial": i,

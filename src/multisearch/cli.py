@@ -14,8 +14,8 @@ import argparse
 import json
 import sys
 
-from .bench import (ALGOS, DataError, ExperimentConfig, fit_scaling,
-                    run_experiment)
+from .bench import (GENERATORS, SOLVERS, DataError, ExperimentConfig,
+                    fit_scaling, run_experiment)
 from .model import DomainError
 from .walker import ceil_log2
 
@@ -32,9 +32,9 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--rho", type=float, default=1.0,
                         help="per-query comparison correctness, in (1/2, 1]")
     parser.add_argument("--seed", type=int, default=0, help="64-bit master seed")
-    parser.add_argument("--algo", choices=ALGOS, default="walker")
+    parser.add_argument("--algo", choices=list(SOLVERS), default="walker")
     parser.add_argument("--instance", default="uniform",
-                        help="uniform | distinct | cluster | bins | file:PATH")
+                        help=" | ".join([*GENERATORS, "file:PATH"]))
     parser.add_argument("--dense-c", type=float, default=1.0,
                         help="error exponent for the dense solver (error n^-c)")
     parser.add_argument("--faithful-chain-queries", action="store_true",
@@ -71,9 +71,7 @@ def _config_from_args(args, trials: int = 1) -> ExperimentConfig:
         n=args.n, k=args.k, algo=args.algo, instance=args.instance,
         delta=args.delta, rho=args.rho, trials=trials, master_seed=args.seed,
         dense_c=args.dense_c,
-        faithful_chain_queries=args.faithful_chain_queries,
-        out_format=getattr(args, "format", "csv"),
-        out_path=getattr(args, "out", None))
+        faithful_chain_queries=args.faithful_chain_queries)
 
 
 def _cmd_solve(args) -> int:
@@ -84,16 +82,15 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    config = _config_from_args(args, trials=args.trials)
-    result = run_experiment(config)
-    payload = result.render()
-    if config.out_path:
+    result = run_experiment(_config_from_args(args, trials=args.trials))
+    payload = result.to_json() if args.format == "json" else result.to_csv()
+    if args.out:
         try:
-            with open(config.out_path, "w") as fh:
+            with open(args.out, "w") as fh:
                 fh.write(payload)
         except OSError as exc:
-            raise DataError(f"cannot write {config.out_path}: {exc}") from exc
-        print(f"wrote {len(result.rows)} rows to {config.out_path} "
+            raise DataError(f"cannot write {args.out}: {exc}") from exc
+        print(f"wrote {len(result.rows)} rows to {args.out} "
               f"(success rate {result.success_rate:.3f})", file=sys.stderr)
     else:
         sys.stdout.write(payload)
@@ -101,6 +98,9 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_scaling(args) -> int:
+    if args.instance.startswith("file:"):
+        raise DomainError("scaling sweeps n or k, which a file: instance fixes; "
+                          "use a generated instance")
     try:
         values = [int(v) for v in args.values.split(",") if v.strip()]
     except ValueError as exc:

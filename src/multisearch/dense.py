@@ -2,15 +2,18 @@
 
 ``solve_dense`` is the k >= n approach: estimate the k-position of every
 value in [1, n-1] at per-point confidence n^-(c+1), repair the profile to
-be monotone, and read per-value multiplicities off consecutive
-differences. ``solve_naive`` is the repeated-binary-search baseline whose
+be monotone, and read the t-th smallest element off as the least y with
+K_y >= t. ``solve_naive`` is the repeated-binary-search baseline whose
 extra log(2 k log n) factor the walker removes; it is kept for benchmark
 comparison.
 """
 
 from __future__ import annotations
 
-from .kposition import estimate_k_position, queries_for_confidence
+import math
+from bisect import bisect_left
+
+from .kposition import _queries_for_exponent, estimate_k_position
 from .model import DomainError, Oracle, check_oracle_shape
 from .reports import SolverReport
 from .walker import ceil_log2
@@ -26,14 +29,10 @@ def repair_monotone(values: list[int]) -> list[int]:
     return out
 
 
-def counts_from_profile(kpos_by_y: list[int]) -> list[int]:
-    """Per-value multiplicities from a monotone k-position profile (y = 1..n)."""
-    prev = 0
-    counts = []
-    for v in kpos_by_y:
-        counts.append(v - prev)
-        prev = v
-    return counts
+def multiset_from_profile(profile: list[int]) -> list[int]:
+    """Sorted multiset from a monotone k-position profile (y = 1..n): the
+    t-th smallest element is the least y with K_y >= t."""
+    return [bisect_left(profile, t) + 1 for t in range(1, profile[-1] + 1)]
 
 
 def _split_even(total: int, k: int) -> list[int]:
@@ -46,23 +45,18 @@ def _split_even(total: int, k: int) -> list[int]:
 def solve_dense(oracle: Oracle, n: int, k: int, c: float = 1.0) -> SolverReport:
     """Recover the multiset from a full k-position profile over [1, n]."""
     check_oracle_shape(oracle, n, k)
-    if c <= 0:
+    if not c > 0:
         raise DomainError(f"c must be positive, got {c}")
     before = oracle.query_count
     estimates = []
     if n >= 2:
-        delta_pt = float(n) ** (-(c + 1.0))
-        m_pt = queries_for_confidence(k, delta_pt, oracle.noise.rho)
+        # per-point delta n^-(c+1), passed as its exponent: it can underflow
+        m_pt = _queries_for_exponent(k, (c + 1.0) * math.log2(n), oracle.noise.rho)
         for y in range(1, n):
             estimates.append(estimate_k_position(oracle, y, m_pt).k_pos)
     estimates.append(k)  # y = n is forced, no queries spent
-    profile = repair_monotone(estimates)
-    counts = counts_from_profile(profile)
+    recovered = multiset_from_profile(repair_monotone(estimates))
     total = oracle.query_count - before
-    if sum(counts) != k:
-        per_target = [(t, None, q) for t, q in zip(range(1, k + 1), _split_even(total, k))]
-        return SolverReport(recovered=[], per_target=per_target, total_queries=total)
-    recovered = [y for y, cnt in enumerate(counts, start=1) for _ in range(cnt)]
     per_target = [(t, v, q)
                   for (t, v), q in zip(enumerate(recovered, start=1), _split_even(total, k))]
     return SolverReport(recovered=recovered, per_target=per_target, total_queries=total)
@@ -80,7 +74,9 @@ def solve_naive(oracle: Oracle, n: int, k: int, delta: float) -> SolverReport:
     if not (0.0 < delta < 1.0):
         raise DomainError(f"delta must be in (0, 1), got {delta}")
     bits = max(1, ceil_log2(n))
-    m_per = queries_for_confidence(k, delta / (k * bits), oracle.noise.rho)
+    # per-probe delta / (k * bits), passed as its exponent: it can underflow
+    m_per = _queries_for_exponent(k, math.log2(k * bits) - math.log2(delta),
+                                  oracle.noise.rho)
     per_target = []
     for t in range(1, k + 1):
         before = oracle.query_count

@@ -39,8 +39,19 @@ def queries_for_confidence(k: int, delta: float, rho: float = 1.0) -> int:
         raise DomainError(f"delta must be in (0, 1), got {delta}")
     if not (0.5 < rho <= 1.0):
         raise DomainError(f"rho must be in (1/2, 1], got {rho}")
-    base = 2.0 * k * k * (1.0 - math.log2(delta))
-    return math.ceil(base / (2.0 * rho - 1.0) ** 2)
+    return _queries_for_exponent(k, -math.log2(delta), rho)
+
+
+def _queries_for_exponent(k: int, log2_inv_delta: float, rho: float) -> int:
+    """The budget of ``queries_for_confidence`` for delta = 2^-log2_inv_delta.
+
+    Callers that derive a per-estimate delta pass its exponent, so a delta
+    too small for a double still gets its finite budget.
+    """
+    m = 2.0 * k * k * (1.0 + log2_inv_delta) / (2.0 * rho - 1.0) ** 2
+    if not math.isfinite(m):
+        raise DomainError(f"query budget is not finite for log2(1/delta) = {log2_inv_delta}")
+    return math.ceil(m)
 
 
 def round_to_grid(p: float, k: int) -> int:

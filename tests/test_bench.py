@@ -143,7 +143,7 @@ def test_cli_scaling():
     assert "fitted slope" in proc.stdout
 
 
-def test_cli_usage_error_exit_2():
+def test_cli_usage_error_exit_2(tmp_path):
     assert _cli("bench", "--n", "16", "--k", "2", "--algo", "bogus").returncode == 2
     assert _cli("bench", "--k", "2").returncode == 2  # missing --n
     assert _cli("bench", "--n", "16", "--k", "2", "--rho", "0.3").returncode == 2
@@ -156,6 +156,30 @@ def test_cli_usage_error_exit_2():
         proc = _cli("bench", "--n", str(10**20), "--k", "2", "--trials", "1",
                     "--instance", kind)
         assert proc.returncode == 2 and "Traceback" not in proc.stderr, kind
+    # a file: instance fixes n and k, so a scaling sweep would vary nothing
+    path = tmp_path / "inst.json"
+    path.write_text(make_instance(16, 2, [3, 10]).to_json())
+    for sweep, values in (("k", "1,2,3"), ("n", "16,64,256")):
+        proc = _cli("scaling", "--n", "16", "--k", "2", "--instance", f"file:{path}",
+                    "--sweep", sweep, "--values", values, "--trials", "2")
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr, sweep
+    # a dense exponent with no finite query budget
+    for c in ("nan", "1e308"):
+        proc = _cli("bench", "--algo", "dense", "--n", "8", "--k", "12",
+                    "--trials", "1", "--dense-c", c)
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr, c
+
+
+def test_cli_per_estimate_delta_below_double_range():
+    # delta / (k * ceil(log2 n)) and n^-(c+1) underflow to 0.0 as doubles;
+    # the budgets are computed from their exponents and stay finite
+    for args, queries in [(("--algo", "naive", "--n", "16", "--k", "2", "--delta", "5e-324"),
+                           8 * 8624),
+                          (("--algo", "dense", "--n", "8", "--k", "12", "--dense-c", "400"),
+                           7 * 346752)]:
+        proc = _cli("bench", "--trials", "1", *args)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout.splitlines()[1].split(",")[6]) == queries
 
 
 def test_cli_data_error_exit_3(tmp_path):
@@ -180,8 +204,68 @@ def test_rng_stream_pinned():
     o = Oracle(make_instance(16, 2, [3, 10]), NoiseModel(0.9), seed=7)
     bits = "".join("1" if b else "0" for b in o.query_batch(8, 32))
     assert bits == "00011010011111000000110110100011"
-    proc = _cli("bench", "--n", "64", "--k", "4", "--trials", "3", "--seed", "7")
-    assert proc.returncode == 0
-    rows = [line.split(",") for line in proc.stdout.splitlines()[1:]]
-    assert [(r[6], r[7]) for r in rows] == [
-        ("378496", "true"), ("432128", "true"), ("431872", "true")]
+
+
+# columns 1-8 (all but elapsed_ms) of two trials at master seed 7; every
+# solver, every generator and a file: instance whose n, k differ from the
+# config's (its rows report the file's n and k)
+SEED7_ROWS = [
+    (dict(instance="uniform"), [
+        "0,7191089600892374487,16,4,walker,uniform,251776,true",
+        "1,309689372594955804,16,4,walker,uniform,287488,true"]),
+    (dict(instance="distinct"), [
+        "0,7191089600892374487,16,4,walker,distinct,216192,true",
+        "1,309689372594955804,16,4,walker,distinct,287616,true"]),
+    (dict(instance="cluster"), [
+        "0,7191089600892374487,16,4,walker,cluster,252032,true",
+        "1,309689372594955804,16,4,walker,cluster,251904,true"]),
+    (dict(instance="bins"), [
+        "0,7191089600892374487,16,4,walker,bins,216192,true",
+        "1,309689372594955804,16,4,walker,bins,216320,true"]),
+    (dict(algo="naive"), [
+        "0,7191089600892374487,16,4,naive,uniform,4272,true",
+        "1,309689372594955804,16,4,naive,uniform,4272,true"]),
+    (dict(algo="dense", n=4, k=8), [
+        "0,7191089600892374487,4,8,dense,uniform,1920,true",
+        "1,309689372594955804,4,8,dense,uniform,1920,true"]),
+    (dict(instance="file", n=99, k=5), [
+        "0,7191089600892374487,12,3,walker,{file},121248,true",
+        "1,309689372594955804,12,3,walker,{file},121248,true"]),
+]
+
+
+@pytest.mark.parametrize("kw, expected", SEED7_ROWS,
+                         ids=[f"{kw.get('algo', 'walker')}-{kw.get('instance', 'uniform')}"
+                              for kw, _ in SEED7_ROWS])
+def test_rows_pinned(tmp_path, kw, expected):
+    kw = {"n": 16, "k": 4, "trials": 2, "master_seed": 7, **kw}
+    file_kind = ""
+    if kw.get("instance") == "file":
+        path = tmp_path / "inst.json"
+        path.write_text(make_instance(12, 3, [2, 7, 7]).to_json())
+        kw["instance"] = file_kind = f"file:{path}"
+    csv_text = run_experiment(_config(**kw)).to_csv()
+    rows = [",".join(line.split(",")[:8]) for line in csv_text.splitlines()[1:]]
+    assert rows == [r.format(file=file_kind) for r in expected]
+
+
+def test_cli_rows_pinned_csv_equals_json():
+    args = ("bench", "--n", "64", "--k", "4", "--trials", "3", "--seed", "7")
+    by_format = {}
+    for fmt in ("csv", "json"):
+        proc = _cli(*args, "--format", fmt)
+        assert proc.returncode == 0, proc.stderr
+        by_format[fmt] = proc.stdout
+    lines = by_format["csv"].splitlines()
+    assert lines[0].split(",") == CSV_HEADER
+    csv_rows = [dict(zip(CSV_HEADER, line.split(","))) for line in lines[1:]]
+    assert [",".join(r[h] for h in CSV_HEADER[:8]) for r in csv_rows] == [
+        "0,7191089600892374487,64,4,walker,uniform,378496,true",
+        "1,309689372594955804,64,4,walker,uniform,432128,true",
+        "2,16616101746815609346,64,4,walker,uniform,431872,true"]
+    as_csv = lambda v: ("true" if v else "false") if isinstance(v, bool) else str(v)
+    json_rows = [{h: as_csv(v) for h, v in row.items()}
+                 for row in json.loads(by_format["json"])]
+    assert [list(r) for r in json_rows] == [CSV_HEADER] * 3
+    strip = lambda rows: [{h: v for h, v in r.items() if h != "elapsed_ms"} for r in rows]
+    assert strip(json_rows) == strip(csv_rows)

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multisearch.dense import (counts_from_profile, repair_monotone,
+from multisearch.dense import (multiset_from_profile, repair_monotone,
                                solve_dense, solve_naive)
 from multisearch.kposition import queries_for_confidence
 from multisearch.model import (DomainError, Oracle, k_position_true,
@@ -12,13 +12,13 @@ from multisearch.walker import WalkConfig, ceil_log2, find_tth, solve_walker
 
 
 def test_ground_truth_profile_recovers_instance():
-    # oracle-free unit path: exact k-positions differenced back to counts
+    # oracle-free unit path: exact k-positions decoded back to the multiset
     inst = make_instance(4, 4, [1, 2, 2, 4])
     truth = [k_position_true(inst, y) for y in range(1, 5)]
     assert truth == [1, 3, 3, 4]
     profile = repair_monotone(truth)
     assert profile == truth  # identity on monotone input
-    assert counts_from_profile(profile) == [1, 2, 0, 1]
+    assert multiset_from_profile(profile) == [1, 2, 2, 4]
 
 
 @given(st.lists(st.integers(0, 12), min_size=1, max_size=30))
