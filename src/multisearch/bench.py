@@ -60,16 +60,18 @@ class ExperimentConfig:
     faithful_chain_queries: bool = False
 
     def validate(self):
-        if self.n < 1 or self.k < 1:
-            raise DomainError(f"need n >= 1 and k >= 1, got n={self.n}, k={self.k}")
+        # a file: instance fixes n and k, so only generated ones read them
+        if self.instance in GENERATORS:
+            if self.n < 1 or self.k < 1:
+                raise DomainError(f"need n >= 1 and k >= 1, got n={self.n}, k={self.k}")
+        elif not self.instance.startswith("file:"):
+            raise DomainError(f"unknown instance kind {self.instance!r}")
         if self.trials < 1:
             raise DomainError(f"trials must be >= 1, got {self.trials}")
         if not (0 <= self.master_seed <= MASK64):
             raise DomainError(f"seed must be in [0, 2^64), got {self.master_seed}")
         if self.algo not in SOLVERS:
             raise DomainError(f"unknown algo {self.algo!r}")
-        if not (self.instance in GENERATORS or self.instance.startswith("file:")):
-            raise DomainError(f"unknown instance kind {self.instance!r}")
         if not (0.0 < self.delta < 1.0):
             raise DomainError(f"delta must be in (0, 1), got {self.delta}")
         if not (0.5 < self.rho <= 1.0):

@@ -77,6 +77,8 @@ def estimate_from_counts(x: int, m: int, k: int, rho: float = 1.0) -> tuple[int,
 def estimate_k_position(oracle: Oracle, y: int, m: int) -> KPosEstimate:
     """Estimate the k-position of y with m queries.
 
+    The oracle returns the LEQ count of the m answers, drawn in chunks of
+    ``model.CHUNK``, so an estimate's memory is O(CHUNK) whatever m is.
     y = 0 and y = n are analytically forced (0 and k) and cost zero
     queries.
     """
@@ -89,6 +91,6 @@ def estimate_k_position(oracle: Oracle, y: int, m: int) -> KPosEstimate:
         return KPosEstimate(k_pos=0, m_used=0, p_hat=0.0)
     if y == n:
         return KPosEstimate(k_pos=k, m_used=0, p_hat=1.0)
-    x = int(oracle.query_batch(y, m).sum())
+    x = oracle.query_batch(y, m)
     k_pos, p_hat, _ = estimate_from_counts(x, m, k, oracle.noise.rho)
     return KPosEstimate(k_pos=k_pos, m_used=m, p_hat=p_hat)

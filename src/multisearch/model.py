@@ -11,13 +11,15 @@ evaluate it, and ``kposition`` de-biases through its inverse.
 
 The oracle never reveals which element was drawn. Solvers see only its
 query interface: ``n``, ``k``, ``noise.rho``, ``query_count``,
-``query_batch`` and ``query``. ``Oracle.instance`` and the ground-truth
-helper ``k_position_true`` are for the harness and tests only.
+``query_batch`` (m queries of one value, returned as the number of LEQ
+answers) and ``query``. ``Oracle.instance`` and the ground-truth helper
+``k_position_true`` are for the harness and tests only.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
@@ -42,6 +44,10 @@ class Response(Enum):
 
 # A transcript is an ordered list of (queried value, response) pairs.
 Transcript = list[tuple[int, Response]]
+
+# answers are drawn this many doubles (128 KiB) at a time, so an estimate's
+# memory stays in cache and does not grow with its query budget
+CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -139,16 +145,26 @@ class Oracle:
         self.query_count = 0
         self.n, self.k = self.instance.n, self.instance.k
 
-    def query_batch(self, y: int, m: int) -> np.ndarray:
-        """Perform m independent queries of y; returns a bool array (True = LEQ)."""
+    def query_batch(self, y: int, m: int) -> int:
+        """Perform m independent queries of y; returns the number of LEQ answers.
+
+        The answers are the same stream as m calls of ``query(y)``, counted
+        CHUNK at a time in O(CHUNK) memory.
+        """
+        m = operator.index(m)
+        if m < 0:
+            raise DomainError(f"m must be >= 0, got {m}")
         if not (1 <= y <= self.n):
             raise DomainError(f"y must be in [1, {self.n}], got {y}")
         p = leq_probability(k_position_true(self.instance, y), self.k, self.noise.rho)
         self.query_count += m
-        return self._rng.random(m) < p
+        x = 0
+        for start in range(0, m, CHUNK):
+            x += int(np.count_nonzero(self._rng.random(min(CHUNK, m - start)) < p))
+        return x
 
     def query(self, y: int) -> Response:
-        return Response.LEQ if self.query_batch(y, 1)[0] else Response.GT
+        return Response.LEQ if self.query_batch(y, 1) else Response.GT
 
 
 def check_oracle_shape(oracle: Oracle, n: int, k: int) -> None:

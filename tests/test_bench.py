@@ -126,6 +126,23 @@ def test_cli_solve():
     assert row["n"] == 16 and row["algo"] == "walker"
 
 
+def test_cli_file_instance_ignores_n_and_k(tmp_path):
+    # a file: instance fixes n and k; the flags' values are not read
+    path = tmp_path / "inst.json"
+    path.write_text(make_instance(12, 3, [2, 7, 7]).to_json())
+    zero = ("--n", "0", "--k", "0")
+    proc = _cli("bench", *zero, "--trials", "1", "--instance", f"file:{path}")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[1].split(",")[2:4] == ["12", "3"]
+    proc = _cli("solve", *zero, "--instance", f"file:{path}")
+    assert proc.returncode == 0, proc.stderr
+    row = json.loads(proc.stdout)
+    assert (row["n"], row["k"]) == (12, 3)
+    # a generated instance still needs them
+    proc = _cli("bench", *zero, "--trials", "1")
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
+
+
 def test_cli_bench_csv(tmp_path):
     out = tmp_path / "rows.csv"
     proc = _cli("bench", "--n", "16", "--k", "2", "--trials", "4",
@@ -199,11 +216,13 @@ def test_cli_data_error_exit_3(tmp_path):
 def test_rng_stream_pinned():
     # literal outputs of fixed seeds: a change to the RNG stream fails here
     # and must be declared, with law-level tests, not re-seeded away
-    from multisearch.model import NoiseModel, Oracle
+    from multisearch.model import NoiseModel, Oracle, Response
 
-    o = Oracle(make_instance(16, 2, [3, 10]), NoiseModel(0.9), seed=7)
-    bits = "".join("1" if b else "0" for b in o.query_batch(8, 32))
+    inst = make_instance(16, 2, [3, 10])
+    o = Oracle(inst, NoiseModel(0.9), seed=7)
+    bits = "".join("1" if o.query(8) is Response.LEQ else "0" for _ in range(32))
     assert bits == "00011010011111000000110110100011"
+    assert Oracle(inst, NoiseModel(0.9), seed=7).query_batch(8, 32) == 15
 
 
 # columns 1-8 (all but elapsed_ms) of two trials at master seed 7; every

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multisearch.analysis import binom_pmf
-from multisearch.model import (DomainError, Instance, NoiseModel, Oracle,
+from multisearch.model import (CHUNK, DomainError, Instance, NoiseModel, Oracle,
                                Response, k_position_true, leq_probability,
                                make_instance, sample_instance)
 
@@ -116,6 +117,37 @@ def test_query_count_accounting():
     o.query_batch(4, 10)
     o.query(2)
     assert o.query_count == 12
+    # m is checked before it is counted; m = 0 is an empty batch
+    with pytest.raises(DomainError):
+        o.query_batch(8, -5)
+    with pytest.raises(TypeError):
+        o.query_batch(8, 2.5)
+    assert o.query_batch(8, 0) == 0
+    assert o.query_count == 12
+
+
+@pytest.mark.parametrize("rho", [1.0, 0.9])
+@pytest.mark.parametrize("m", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+def test_query_batch_is_the_query_stream(rho, m):
+    # counting in chunks reads the same answers as m single queries
+    inst = make_instance(16, 2, [3, 10])
+    a = Oracle(inst, NoiseModel(rho), seed=5)
+    b = Oracle(inst, NoiseModel(rho), seed=5)
+    assert a.query_batch(8, m) == sum(b.query(8) is Response.LEQ for _ in range(m))
+    assert a.query_count == b.query_count == m
+    # both oracles stand at the same point of the stream afterwards
+    assert a.query_batch(8, 64) == b.query_batch(8, 64)
+
+
+def test_query_batch_memory_is_bounded():
+    o = Oracle(make_instance(16, 2, [3, 10]), NoiseModel(0.9), seed=0)
+    tracemalloc.start()
+    try:
+        o.query_batch(8, 2**24)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 @pytest.mark.parametrize("rho", [1.0, 0.75])
@@ -133,7 +165,7 @@ def test_query_distribution(rho, y):
     inst = make_instance(16, 2, [3, 10])
     o = Oracle(inst, NoiseModel(rho), seed=2024)
     big_n = 10**6
-    freq = o.query_batch(y, big_n).mean()
+    freq = o.query_batch(y, big_n) / big_n
     ky = k_position_true(inst, y)
     expected = rho * ky / inst.k + (1 - rho) * (1 - ky / inst.k)
     assert abs(freq - expected) < 4 * math.sqrt(0.25 / big_n)
@@ -150,7 +182,7 @@ def test_query_count_distribution(rho, y):
     inst = make_instance(9, 3, [2, 5, 5])
     m, trials = 12, 50_000
     o = Oracle(inst, NoiseModel(rho), seed=2024)
-    counts = o.query_batch(y, m * trials).reshape(trials, m).sum(axis=1)
+    counts = np.array([o.query_batch(y, m) for _ in range(trials)])
     observed = np.bincount(counts, minlength=m + 1)
     p = leq_probability(k_position_true(inst, y), inst.k, rho)
     if p in (0.0, 1.0):
