@@ -13,6 +13,7 @@ inverse of ``leq_probability`` before rounding.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .model import DomainError, Oracle
@@ -72,6 +73,19 @@ def estimate_from_counts(x: int, m: int, k: int, rho: float = 1.0) -> tuple[int,
     p_corr = (p_hat - (1.0 - rho)) / denom
     p_corr = min(max(p_corr, 0.0), 1.0)
     return round_to_grid(p_corr, k), p_hat, p_corr
+
+
+def count_threshold(t: int, m: int, k: int, rho: float = 1.0) -> int:
+    """Least LEQ count x out of m whose estimate is >= t, or m + 1 if none.
+
+    The estimate is monotone in the count, so for one (t, m, k, rho) the
+    checks k_pos <= t - 1 and k_pos >= t become x < X_t and x >= X_t.
+    The threshold is found by bisection on ``estimate_from_counts``, so
+    the rounding is still stated only there.
+    """
+    if m < 1:
+        raise DomainError(f"m must be >= 1, got {m}")
+    return bisect_left(range(m + 1), t, key=lambda x: estimate_from_counts(x, m, k, rho)[0])
 
 
 def estimate_k_position(oracle: Oracle, y: int, m: int) -> KPosEstimate:

@@ -156,7 +156,7 @@ class Oracle:
             raise DomainError(f"m must be >= 0, got {m}")
         if not (1 <= y <= self.n):
             raise DomainError(f"y must be in [1, {self.n}], got {y}")
-        p = leq_probability(k_position_true(self.instance, y), self.k, self.noise.rho)
+        p = leq_probability(bisect_right(self.instance.items, y), self.k, self.noise.rho)
         self.query_count += m
         x = 0
         for start in range(0, m, CHUNK):

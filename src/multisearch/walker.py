@@ -9,6 +9,12 @@ edge, and on success it descends using a midpoint estimate (or moves one
 node further down a leaf chain). After exactly m steps the walk either
 sits on a leaf/chain node (output its value) or has failed.
 
+``walk_step`` states one step for every node. ``find_tth`` calls it for
+tree nodes and takes the chain steps, nearly all of a walk's steps, itself:
+there both endpoint checks read one LEQ count against one threshold
+(``kposition.count_threshold``), with the same queries in the same order
+as ``walk_step``, so every draw and query count is the same.
+
 Because single estimates err with probability < 0.3 per step while the
 correct direction is taken with probability > 0.7, the walk drifts toward
 the correct leaf chain and its endpoint failure probability decays as
@@ -18,10 +24,10 @@ exp(-m/35).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
-from .kposition import estimate_k_position, queries_for_confidence
+from .kposition import count_threshold, estimate_k_position, queries_for_confidence
 from .model import DomainError, Oracle, check_oracle_shape
 from .reports import SolverReport
 
@@ -75,7 +81,8 @@ def choose_walk_length(n: int, delta: float) -> int:
     """Walk length 70*ceil(log2 n), or 70*ceil(log2(1/delta)) when delta < 1/n."""
     if not (0.0 < delta < 1.0):
         raise DomainError(f"delta must be in (0, 1), got {delta}")
-    if delta >= 1.0 / n:
+    # 1 / n is correctly rounded for any int n (no float(n) overflow)
+    if delta >= 1 / n:
         return 70 * max(1, ceil_log2(n))
     return 70 * max(1, math.ceil(-math.log2(delta)))
 
@@ -111,7 +118,7 @@ def walk_step(oracle: Oracle, node: WalkNode, t: int, cfg: WalkConfig) -> WalkNo
     if not (ka <= t - 1 and kb >= t):
         # backtrack one edge; the root self-loops (consumes the step)
         if node.chain_depth > 0:
-            return replace(node, chain_depth=node.chain_depth - 1)
+            return WalkNode(node.a, node.b, node.chain_depth - 1)
         if node.a == 1 and node.b == n:
             return node
         return parent_of(node, n)
@@ -124,7 +131,7 @@ def walk_step(oracle: Oracle, node: WalkNode, t: int, cfg: WalkConfig) -> WalkNo
     # accounting flag is set
     if cfg.faithful_chain_queries:
         estimate_k_position(oracle, node.a, cfg.step2_m)
-    return replace(node, chain_depth=node.chain_depth + 1)
+    return WalkNode(node.a, node.b, node.chain_depth + 1)
 
 
 def find_tth(oracle: Oracle, t: int, n: int, k: int, cfg: WalkConfig) -> Optional[int]:
@@ -132,9 +139,27 @@ def find_tth(oracle: Oracle, t: int, n: int, k: int, cfg: WalkConfig) -> Optiona
     check_oracle_shape(oracle, n, k)
     if not (1 <= t <= k):
         raise DomainError(f"t must be in [1, {k}], got {t}")
-    node = WalkNode(1, n)
+    # on a chain node [a, a] walk_step's checks ka <= t - 1 and kb >= t
+    # are x_a < x_t and x_b >= x_t, drawn in that order; a forced end
+    # (a = 1 or a = n) holds its check and costs no queries
+    m1, x_t = cfg.step1_m, count_threshold(t, cfg.step1_m, k, oracle.noise.rho)
+    query_batch = oracle.query_batch
+    # node is a tree node; depth > 0 means that many steps down its chain
+    node, depth = WalkNode(1, n), 0
     for _ in range(cfg.m):
-        node = walk_step(oracle, node, t, cfg)
+        if not depth:
+            node = walk_step(oracle, node, t, cfg)
+            node, depth = WalkNode(node.a, node.b), node.chain_depth
+            continue
+        a = node.a
+        ka_ok = a == 1 or query_batch(a - 1, m1) < x_t
+        kb_ok = a == n or query_batch(a, m1) >= x_t
+        if ka_ok and kb_ok:
+            if cfg.faithful_chain_queries and a < n:
+                query_batch(a, cfg.step2_m)
+            depth += 1
+        else:
+            depth -= 1
     return node.a if node.is_leaf else None
 
 

@@ -143,6 +143,15 @@ def test_cli_file_instance_ignores_n_and_k(tmp_path):
     assert proc.returncode == 2 and "Traceback" not in proc.stderr
 
 
+def test_cli_file_instance_beyond_double_range(tmp_path):
+    # n = 10^400 overflows a double; the walk length rule must not convert it
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 10**400, "k": 1, "items": [5]}))
+    proc = _cli("solve", "--n", "1", "--k", "1", "--instance", f"file:{path}")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["success"] is True
+
+
 def test_cli_bench_csv(tmp_path):
     out = tmp_path / "rows.csv"
     proc = _cli("bench", "--n", "16", "--k", "2", "--trials", "4",

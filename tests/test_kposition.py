@@ -1,8 +1,9 @@
 import pytest
 
 from multisearch.analysis import estimator_success_prob
-from multisearch.kposition import (estimate_from_counts, estimate_k_position,
-                                   queries_for_confidence, round_to_grid)
+from multisearch.kposition import (count_threshold, estimate_from_counts,
+                                   estimate_k_position, queries_for_confidence,
+                                   round_to_grid)
 from multisearch.model import DomainError, NoiseModel, Oracle, make_instance
 from multisearch.seeds import derive_seed
 
@@ -91,6 +92,24 @@ def test_denoising_pipeline():
     assert p_hat == 0.75
     assert p_corr == pytest.approx(1.0)
     assert k_pos == 2
+
+
+def test_count_threshold_exhaustive():
+    # estimate >= t exactly for counts >= X_t, so one threshold decides
+    # both of a walk step's endpoint checks
+    for rho in (1.0, 0.9, 0.6):
+        for k in range(1, 10):
+            for m in range(1, 65):
+                ests = [estimate_from_counts(x, m, k, rho)[0] for x in range(m + 1)]
+                for t in range(1, k + 1):
+                    x_t = count_threshold(t, m, k, rho)
+                    assert 0 <= x_t <= m + 1
+                    assert [e >= t for e in ests] == [x >= x_t for x in range(m + 1)]
+
+
+def test_count_threshold_rejects_empty_budget():
+    with pytest.raises(DomainError):
+        count_threshold(1, 0, 2)
 
 
 def test_noisy_estimate_recovers_truth():

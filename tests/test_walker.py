@@ -13,6 +13,8 @@ def test_walk_length_rules():
     assert choose_walk_length(2, 0.5) == 70
     # subnormal delta: 1 / delta overflows, log2(delta) does not
     assert choose_walk_length(16, 1e-320) == 70 * 1064
+    # n too large for a double: 1 / n underflows to 0.0, float(n) overflows
+    assert choose_walk_length(10**400, 0.1) == 70 * 1329
 
 
 def test_walk_length_rejects_bad_delta():
@@ -89,6 +91,41 @@ def test_backtrack_reaches_root():
     o = Oracle(inst, seed=0)
     nxt = walk_step(o, WalkNode(1, 2), t=1, cfg=_cfg(4, 1))
     assert nxt == WalkNode(1, 4)
+
+
+def _reference_find_tth(oracle, t, cfg):
+    """find_tth as cfg.m plain walk_step calls; also counts chain backtracks."""
+    node, chain_backtracks = WalkNode(1, oracle.n), 0
+    for _ in range(cfg.m):
+        nxt = walk_step(oracle, node, t, cfg)
+        chain_backtracks += nxt.chain_depth < node.chain_depth
+        node = nxt
+    return (node.a if node.is_leaf else None), chain_backtracks
+
+
+@pytest.mark.parametrize("rho", [1.0, 0.75])
+@pytest.mark.parametrize("faithful", [False, True])
+def test_find_tth_matches_walk_step_loop(rho, faithful):
+    # inline chain steps draw the same queries in the same order as
+    # walk_step: same value, same query count, same stream position after
+    cases = [(make_instance(16, 4, [1, 5, 9, 16]), _cfg(16, 4, rho=rho, faithful=faithful)),
+             (make_instance(1, 2, [1, 1]), _cfg(1, 2, rho=rho, faithful=faithful)),
+             # tiny budgets: walks often fall off their chains and backtrack
+             (make_instance(16, 4, [1, 5, 9, 16]),
+              WalkConfig(m=200, step1_m=3, step2_m=3, faithful_chain_queries=faithful))]
+    chain_backtracks = 0
+    for case, (inst, cfg) in enumerate(cases):
+        for t in range(1, inst.k + 1):
+            for i in range(3):
+                seed = derive_seed(91, 100 * case + 10 * t + i)
+                fast = Oracle(inst, NoiseModel(rho), seed=seed)
+                ref = Oracle(inst, NoiseModel(rho), seed=seed)
+                expected, backtracks = _reference_find_tth(ref, t, cfg)
+                chain_backtracks += backtracks
+                assert find_tth(fast, t, inst.n, inst.k, cfg) == expected
+                assert fast.query_count == ref.query_count
+                assert fast.query_batch(1, 64) == ref.query_batch(1, 64)
+    assert chain_backtracks > 0
 
 
 def test_find_tth_single_leaf():
