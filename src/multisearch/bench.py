@@ -15,6 +15,7 @@ import json
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -29,8 +30,7 @@ CSV_HEADER = ["trial", "seed", "n", "k", "algo", "instance",
 
 # each solver and each instance generator is named once, here
 SOLVERS = {
-    "walker": lambda oracle, inst, cfg: solve_walker(
-        oracle, inst.n, inst.k, cfg.delta, cfg.faithful_chain_queries),
+    "walker": lambda oracle, inst, cfg: solve_walker(oracle, inst.n, inst.k, cfg.delta),
     "dense": lambda oracle, inst, cfg: solve_dense(oracle, inst.n, inst.k, cfg.dense_c),
     "naive": lambda oracle, inst, cfg: solve_naive(oracle, inst.n, inst.k, cfg.delta),
 }
@@ -48,8 +48,8 @@ class DataError(Exception):
 
 @dataclass
 class ExperimentConfig:
-    n: int
-    k: int
+    n: Optional[int]
+    k: Optional[int]
     algo: str = "walker"
     instance: str = "uniform"
     delta: float = 0.1
@@ -57,11 +57,12 @@ class ExperimentConfig:
     trials: int = 1
     master_seed: int = 0
     dense_c: float = 1.0
-    faithful_chain_queries: bool = False
 
     def validate(self):
         # a file: instance fixes n and k, so only generated ones read them
         if self.instance in GENERATORS:
+            if self.n is None or self.k is None:
+                raise DomainError("a generated instance needs both n and k")
             if self.n < 1 or self.k < 1:
                 raise DomainError(f"need n >= 1 and k >= 1, got n={self.n}, k={self.k}")
         elif not self.instance.startswith("file:"):

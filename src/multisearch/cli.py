@@ -25,8 +25,9 @@ EXIT_DATA = 3
 
 
 def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--n", type=int, required=True, help="range upper bound")
-    parser.add_argument("--k", type=int, required=True, help="hidden multiset size")
+    # a file: instance fixes n and k, and a scaling sweep sets one of them
+    parser.add_argument("--n", type=int, help="range upper bound (generated instances)")
+    parser.add_argument("--k", type=int, help="hidden multiset size (generated instances)")
     parser.add_argument("--delta", type=float, default=0.1,
                         help="target failure probability (walker/naive)")
     parser.add_argument("--rho", type=float, default=1.0,
@@ -37,8 +38,6 @@ def _add_common(parser: argparse.ArgumentParser):
                         help=" | ".join([*GENERATORS, "file:PATH"]))
     parser.add_argument("--dense-c", type=float, default=1.0,
                         help="error exponent for the dense solver (error n^-c)")
-    parser.add_argument("--faithful-chain-queries", action="store_true",
-                        help="spend the midpoint budget on leaf-chain steps too")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,8 +69,7 @@ def _config_from_args(args, trials: int = 1) -> ExperimentConfig:
     return ExperimentConfig(
         n=args.n, k=args.k, algo=args.algo, instance=args.instance,
         delta=args.delta, rho=args.rho, trials=trials, master_seed=args.seed,
-        dense_c=args.dense_c,
-        faithful_chain_queries=args.faithful_chain_queries)
+        dense_c=args.dense_c)
 
 
 def _cmd_solve(args) -> int:

@@ -78,14 +78,23 @@ class NoiseModel:
             raise DomainError(f"rho must be in (1/2, 1], got {self.rho}")
 
 
+def _integral(values: list, what: str) -> list[int]:
+    """The values as ints; DomainError unless each is integral (2.0 is, 2.5 is not)."""
+    try:
+        ints = [int(v) for v in values]
+    except (OverflowError, ValueError) as exc:  # inf, nan
+        raise DomainError(f"{what} must be integers, got {values}") from exc
+    if ints != values:
+        raise DomainError(f"{what} must be integers, got {values}")
+    return ints
+
+
 def make_instance(n: int, k: int, items) -> Instance:
     """Build a canonical (sorted) instance, validating range and cardinality."""
+    n, k = _integral([n, k], "n and k")
     if n < 1 or k < 1:
         raise DomainError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
-    items = list(items)
-    if any(int(v) != v for v in items):
-        raise DomainError(f"items must be integers, got {items}")
-    items = sorted(int(v) for v in items)
+    items = sorted(_integral(list(items), "items"))
     if len(items) != k:
         raise DomainError(f"expected {k} items, got {len(items)}")
     if items[0] < 1 or items[-1] > n:

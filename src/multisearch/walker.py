@@ -57,16 +57,13 @@ class WalkConfig:
     m: int
     step1_m: int
     step2_m: int
-    faithful_chain_queries: bool = False
 
     @classmethod
-    def for_problem(cls, n: int, k: int, delta: float, rho: float = 1.0,
-                    faithful_chain_queries: bool = False) -> "WalkConfig":
+    def for_problem(cls, n: int, k: int, delta: float, rho: float = 1.0) -> "WalkConfig":
         return cls(
             m=choose_walk_length(n, delta),
             step1_m=queries_for_confidence(k, STEP1_DELTA, rho),
             step2_m=queries_for_confidence(k, STEP2_DELTA, rho),
-            faithful_chain_queries=faithful_chain_queries,
         )
 
 
@@ -126,11 +123,8 @@ def walk_step(oracle: Oracle, node: WalkNode, t: int, cfg: WalkConfig) -> WalkNo
         ku = estimate_k_position(oracle, midpoint(node), cfg.step2_m).k_pos
         left, right = children(node)
         return right if ku <= t - 1 else left
-    # leaf or chain node: descend the chain; the midpoint result would be
-    # discarded anyway, so the queries are skipped unless the faithful
-    # accounting flag is set
-    if cfg.faithful_chain_queries:
-        estimate_k_position(oracle, node.a, cfg.step2_m)
+    # leaf or chain node: there is no midpoint to estimate, so the step
+    # costs only its two endpoint checks and moves one node down the chain
     return WalkNode(node.a, node.b, node.chain_depth + 1)
 
 
@@ -154,24 +148,18 @@ def find_tth(oracle: Oracle, t: int, n: int, k: int, cfg: WalkConfig) -> Optiona
         a = node.a
         ka_ok = a == 1 or query_batch(a - 1, m1) < x_t
         kb_ok = a == n or query_batch(a, m1) >= x_t
-        if ka_ok and kb_ok:
-            if cfg.faithful_chain_queries and a < n:
-                query_batch(a, cfg.step2_m)
-            depth += 1
-        else:
-            depth -= 1
+        depth += 1 if ka_ok and kb_ok else -1
     return node.a if node.is_leaf else None
 
 
-def solve_walker(oracle: Oracle, n: int, k: int, delta: float,
-                 faithful_chain_queries: bool = False) -> SolverReport:
+def solve_walker(oracle: Oracle, n: int, k: int, delta: float) -> SolverReport:
     """Recover all k hidden elements by k independent random walks.
 
     The query-complexity guarantee is stated for k <= n; the walk itself
     runs for any k >= 1 (for n = 1 it trivially parks on the only leaf).
     """
     check_oracle_shape(oracle, n, k)
-    cfg = WalkConfig.for_problem(n, k, delta, oracle.noise.rho, faithful_chain_queries)
+    cfg = WalkConfig.for_problem(n, k, delta, oracle.noise.rho)
     per_target = []
     for t in range(1, k + 1):
         before = oracle.query_count

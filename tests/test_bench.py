@@ -1,12 +1,16 @@
+import argparse
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import multisearch.bench
-from multisearch.bench import (CSV_HEADER, DataError, ExperimentConfig,
+from multisearch.bench import (CSV_HEADER, SOLVERS, DataError, ExperimentConfig,
                                fit_scaling, run_experiment)
+from multisearch.cli import build_parser
 from multisearch.model import DomainError, make_instance
 from multisearch.seeds import derive_seed
 
@@ -138,6 +142,13 @@ def test_cli_file_instance_ignores_n_and_k(tmp_path):
     assert proc.returncode == 0, proc.stderr
     row = json.loads(proc.stdout)
     assert (row["n"], row["k"]) == (12, 3)
+    # nor are they needed; integral floats in the file are read as ints
+    path.write_text('{"n": 12.0, "k": 3.0, "items": [2, 7, 7]}')
+    for algo in SOLVERS:
+        proc = _cli("solve", "--algo", algo, "--instance", f"file:{path}")
+        assert proc.returncode == 0, (algo, proc.stderr)
+        row = json.loads(proc.stdout)
+        assert (row["n"], row["k"]) == (12, 3), algo
     # a generated instance still needs them
     proc = _cli("bench", *zero, "--trials", "1")
     assert proc.returncode == 2 and "Traceback" not in proc.stderr
@@ -167,12 +178,21 @@ def test_cli_scaling():
                 "--values", "1,2,3", "--trials", "2", "--seed", "3")
     assert proc.returncode == 0
     assert "fitted slope" in proc.stdout
+    # the sweep sets the swept value, so its flag is not needed
+    for args in (("--n", "64", "--sweep", "k", "--values", "1,2,3"),
+                 ("--k", "2", "--sweep", "n", "--values", "16,64,256")):
+        proc = _cli("scaling", *args, "--trials", "2", "--seed", "3")
+        assert proc.returncode == 0, proc.stderr
+        assert "fitted slope" in proc.stdout
 
 
 def test_cli_usage_error_exit_2(tmp_path):
     assert _cli("bench", "--n", "16", "--k", "2", "--algo", "bogus").returncode == 2
     assert _cli("bench", "--k", "2").returncode == 2  # missing --n
     assert _cli("bench", "--n", "16", "--k", "2", "--rho", "0.3").returncode == 2
+    # leaf-chain steps have one query policy, with no flag to change it
+    proc = _cli("bench", "--n", "16", "--k", "2", "--faithful-chain-queries")
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
     # seeds are 64-bit: 2^64 + 5 must not alias --seed 5
     for seed in ("-1", str(2**64 + 5)):
         proc = _cli("bench", "--n", "16", "--k", "2", "--trials", "1", "--seed", seed)
@@ -196,6 +216,17 @@ def test_cli_usage_error_exit_2(tmp_path):
         assert proc.returncode == 2 and "Traceback" not in proc.stderr, c
 
 
+def test_readme_lists_every_cli_flag():
+    # the README's "Flags:" line names each long option of every subcommand
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    listed = re.search(r"^Flags: `([^`]*)`", readme.read_text(), re.M).group(1).split()
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    flags = {opt for sub in subparsers.choices.values() for action in sub._actions
+             for opt in action.option_strings if opt.startswith("--")} - {"--help"}
+    assert sorted(listed) == sorted(flags)
+
+
 def test_cli_per_estimate_delta_below_double_range():
     # delta / (k * ceil(log2 n)) and n^-(c+1) underflow to 0.0 as doubles;
     # the budgets are computed from their exponents and stay finite
@@ -211,7 +242,11 @@ def test_cli_per_estimate_delta_below_double_range():
 def test_cli_data_error_exit_3(tmp_path):
     for name, text in [("bad.json", "[1,2,3]"),
                        ("float.json", '{"n": 4, "k": 2, "items": [2.9, 1.5]}'),
-                       ("inf.json", '{"n": 4, "k": 1, "items": [Infinity]}')]:
+                       ("inf.json", '{"n": 4, "k": 1, "items": [Infinity]}'),
+                       ("frac_n.json", '{"n": 2.5, "k": 1, "items": [1]}'),
+                       ("frac_k.json", '{"n": 4, "k": 1.5, "items": [1]}'),
+                       ("inf_n.json", '{"n": Infinity, "k": 1, "items": [1]}'),
+                       ("nan_k.json", '{"n": 4, "k": NaN, "items": [1]}')]:
         path = tmp_path / name
         path.write_text(text)
         proc = _cli("bench", "--n", "16", "--k", "2",

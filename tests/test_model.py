@@ -34,6 +34,12 @@ def test_make_instance_errors():
     with pytest.raises(DomainError):
         make_instance(4, 2, [2.9, 1.5])  # not truncated to (1, 2)
     assert make_instance(4, 2, [2.0, 1.0]).items == (1, 2)
+    # n and k follow the items' rule: integral values are stored as ints
+    inst = make_instance(4.0, 2.0, [2, 1])
+    assert (inst.n, inst.k) == (4, 2) and type(inst.n) is int and type(inst.k) is int
+    for n, k in [(2.5, 1), (4, 1.5), (float("inf"), 1), (4, float("nan")), ("4", 1)]:
+        with pytest.raises(DomainError):
+            make_instance(n, k, [1])
 
 
 def test_sample_instance_forced_cases():

@@ -38,8 +38,8 @@ def test_parent_of():
     assert parent_of(WalkNode(3, 3), 16) == WalkNode(3, 4)
 
 
-def _cfg(n, k, delta=0.1, rho=1.0, faithful=False):
-    return WalkConfig.for_problem(n, k, delta, rho, faithful)
+def _cfg(n, k, delta=0.1, rho=1.0):
+    return WalkConfig.for_problem(n, k, delta, rho)
 
 
 def test_walk_step_descends_from_root():
@@ -64,16 +64,8 @@ def test_walk_step_chain_descends():
     before = o.query_count
     nxt = walk_step(o, WalkNode(3, 3, chain_depth=2), t=1, cfg=_cfg(16, 2))
     assert nxt == WalkNode(3, 3, chain_depth=3)
-    # chain steps skip the midpoint budget by default
+    # a chain step has no midpoint: it costs only its two endpoint checks
     assert o.query_count - before == 2 * _cfg(16, 2).step1_m
-
-
-def test_faithful_chain_queries_spends_midpoint_budget():
-    inst = make_instance(16, 2, [3, 10])
-    cfg = _cfg(16, 2, faithful=True)
-    o = Oracle(inst, seed=6)
-    walk_step(o, WalkNode(3, 3, chain_depth=2), t=1, cfg=cfg)
-    assert o.query_count == 2 * cfg.step1_m + cfg.step2_m
 
 
 def test_walk_step_chain_backtracks_on_wrong_leaf():
@@ -104,15 +96,13 @@ def _reference_find_tth(oracle, t, cfg):
 
 
 @pytest.mark.parametrize("rho", [1.0, 0.75])
-@pytest.mark.parametrize("faithful", [False, True])
-def test_find_tth_matches_walk_step_loop(rho, faithful):
+def test_find_tth_matches_walk_step_loop(rho):
     # inline chain steps draw the same queries in the same order as
     # walk_step: same value, same query count, same stream position after
-    cases = [(make_instance(16, 4, [1, 5, 9, 16]), _cfg(16, 4, rho=rho, faithful=faithful)),
-             (make_instance(1, 2, [1, 1]), _cfg(1, 2, rho=rho, faithful=faithful)),
+    cases = [(make_instance(16, 4, [1, 5, 9, 16]), _cfg(16, 4, rho=rho)),
+             (make_instance(1, 2, [1, 1]), _cfg(1, 2, rho=rho)),
              # tiny budgets: walks often fall off their chains and backtrack
-             (make_instance(16, 4, [1, 5, 9, 16]),
-              WalkConfig(m=200, step1_m=3, step2_m=3, faithful_chain_queries=faithful))]
+             (make_instance(16, 4, [1, 5, 9, 16]), WalkConfig(m=200, step1_m=3, step2_m=3))]
     chain_backtracks = 0
     for case, (inst, cfg) in enumerate(cases):
         for t in range(1, inst.k + 1):
