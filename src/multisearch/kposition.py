@@ -91,8 +91,10 @@ def count_threshold(t: int, m: int, k: int, rho: float = 1.0) -> int:
 def estimate_k_position(oracle: Oracle, y: int, m: int) -> KPosEstimate:
     """Estimate the k-position of y with m queries.
 
-    The oracle returns the LEQ count of the m answers, drawn in chunks of
-    ``model.CHUNK``, so an estimate's memory is O(CHUNK) whatever m is.
+    The oracle returns the LEQ count of the m answers, served from its
+    read-ahead buffer of ``model.READ_AHEAD`` drawn doubles and drawn in
+    chunks of ``model.CHUNK`` beyond it, so an estimate's memory is
+    O(READ_AHEAD + CHUNK) whatever m is.
     y = 0 and y = n are analytically forced (0 and k) and cost zero
     queries.
     """

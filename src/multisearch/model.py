@@ -48,6 +48,9 @@ Transcript = list[tuple[int, Response]]
 # answers are drawn this many doubles (128 KiB) at a time, so an estimate's
 # memory stays in cache and does not grow with its query budget
 CHUNK = 1 << 14
+# an oracle keeps at most this many drawn doubles (64 KiB) ahead of the
+# answers it has served, so a small batch is a slice, not a generator call
+READ_AHEAD = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -79,7 +82,12 @@ class NoiseModel:
 
 
 def _integral(values: list, what: str) -> list[int]:
-    """The values as ints; DomainError unless each is integral (2.0 is, 2.5 is not)."""
+    """The values as ints; DomainError unless each is integral (2.0 is, 2.5 is not).
+
+    Booleans are not integers here, although ``True == 1``.
+    """
+    if any(isinstance(v, (bool, np.bool_)) for v in values):
+        raise DomainError(f"{what} must be integers, got {values}")
     try:
         ints = [int(v) for v in values]
     except (OverflowError, ValueError) as exc:  # inf, nan
@@ -153,24 +161,40 @@ class Oracle:
         self._rng = np.random.Generator(np.random.PCG64(self.seed))
         self.query_count = 0
         self.n, self.k = self.instance.n, self.instance.k
+        # drawn doubles; those from _pos on are the next answers' draws
+        self._ahead = np.empty(0)
+        self._pos = 0
 
     def query_batch(self, y: int, m: int) -> int:
         """Perform m independent queries of y; returns the number of LEQ answers.
 
-        The answers are the same stream as m calls of ``query(y)``, counted
-        CHUNK at a time in O(CHUNK) memory.
+        The answers are the same stream as m calls of ``query(y)``. They are
+        served from a buffer of at most READ_AHEAD doubles drawn ahead; a
+        batch larger than what is left draws its middle CHUNK at a time, so
+        the memory is O(READ_AHEAD + CHUNK) whatever m is. y and m are
+        checked before anything is counted.
         """
-        m = operator.index(m)
+        y, m = operator.index(y), operator.index(m)
         if m < 0:
             raise DomainError(f"m must be >= 0, got {m}")
         if not (1 <= y <= self.n):
             raise DomainError(f"y must be in [1, {self.n}], got {y}")
         p = leq_probability(bisect_right(self.instance.items, y), self.k, self.noise.rho)
         self.query_count += m
-        x = 0
-        for start in range(0, m, CHUNK):
-            x += int(np.count_nonzero(self._rng.random(min(CHUNK, m - start)) < p))
-        return x
+        ahead, pos = self._ahead, self._pos
+        end = pos + m
+        if end <= len(ahead):
+            self._pos = end
+            return int(np.count_nonzero(ahead[pos:end] < p))
+        x = int(np.count_nonzero(ahead[pos:] < p))
+        m = end - len(ahead)
+        while m > READ_AHEAD:
+            piece = min(CHUNK, m)
+            x += int(np.count_nonzero(self._rng.random(piece) < p))
+            m -= piece
+        self._ahead = ahead = self._rng.random(READ_AHEAD)
+        self._pos = m
+        return x + int(np.count_nonzero(ahead[:m] < p))
 
     def query(self, y: int) -> Response:
         return Response.LEQ if self.query_batch(y, 1) else Response.GT

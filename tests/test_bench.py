@@ -246,7 +246,10 @@ def test_cli_data_error_exit_3(tmp_path):
                        ("frac_n.json", '{"n": 2.5, "k": 1, "items": [1]}'),
                        ("frac_k.json", '{"n": 4, "k": 1.5, "items": [1]}'),
                        ("inf_n.json", '{"n": Infinity, "k": 1, "items": [1]}'),
-                       ("nan_k.json", '{"n": 4, "k": NaN, "items": [1]}')]:
+                       ("nan_k.json", '{"n": 4, "k": NaN, "items": [1]}'),
+                       ("bool_k.json", '{"n": 16, "k": true, "items": [1]}'),
+                       ("bool_item.json", '{"n": 16, "k": 1, "items": [true]}'),
+                       ("bool_all.json", '{"n": 16, "k": true, "items": [true]}')]:
         path = tmp_path / name
         path.write_text(text)
         proc = _cli("bench", "--n", "16", "--k", "2",

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multisearch.analysis import binom_pmf
-from multisearch.model import (CHUNK, DomainError, Instance, NoiseModel, Oracle,
-                               Response, k_position_true, leq_probability,
+from multisearch.kposition import estimate_k_position
+from multisearch.model import (CHUNK, READ_AHEAD, DomainError, Instance, NoiseModel,
+                               Oracle, Response, k_position_true, leq_probability,
                                make_instance, sample_instance)
 
 
@@ -40,6 +41,11 @@ def test_make_instance_errors():
     for n, k in [(2.5, 1), (4, 1.5), (float("inf"), 1), (4, float("nan")), ("4", 1)]:
         with pytest.raises(DomainError):
             make_instance(n, k, [1])
+    # booleans are not integers, although True == 1
+    for n, k, items in [(16, True, [1]), (True, 1, [1]), (16, 1, [True]),
+                        (16, 2, [np.True_, 3])]:
+        with pytest.raises(DomainError):
+            make_instance(n, k, items)
 
 
 def test_sample_instance_forced_cases():
@@ -143,6 +149,67 @@ def test_query_batch_is_the_query_stream(rho, m):
     assert a.query_count == b.query_count == m
     # both oracles stand at the same point of the stream afterwards
     assert a.query_batch(8, 64) == b.query_batch(8, 64)
+
+
+def test_query_batch_rejects_non_integral_y():
+    # y is checked before it is counted: a float neither spends queries nor
+    # moves the stream, and a k-position estimate of it makes no estimate
+    inst = make_instance(16, 2, [3, 10])
+    o, ref = Oracle(inst, seed=3), Oracle(inst, seed=3)
+    for call in (lambda: o.query_batch(2.5, 4), lambda: o.query(3.0),
+                 lambda: estimate_k_position(o, 2.5, 8)):
+        with pytest.raises(TypeError):
+            call()
+    assert o.query_count == 0
+    assert o.query_batch(np.int64(8), 64) == ref.query_batch(8, 64)
+
+
+@pytest.mark.parametrize("rho", [1.0, 0.9])
+def test_query_batch_reads_the_reference_stream(rho):
+    # a mixed sequence of batches and single queries, straddling the
+    # read-ahead's and CHUNK's boundaries, counts the answers of one
+    # unbuffered draw of the seed's doubles, in order, none skipped or repeated
+    inst = make_instance(16, 2, [3, 10])
+    sizes = [0, 1, READ_AHEAD - 1, READ_AHEAD, READ_AHEAD + 1, 3200, CHUNK + 1,
+             3 * CHUNK + 5]
+    calls = []  # (y, m) is query_batch(y, m); (y, None) is query(y)
+    for i, m in enumerate(sizes + sizes[::-1]):
+        y = [8, 4, 2, 16][i % 4]
+        calls += [(y, m), (y, None)]
+    total = sum(1 if m is None else m for _, m in calls)
+    doubles = np.random.Generator(np.random.PCG64(11)).random(total)
+    o = Oracle(inst, NoiseModel(rho), seed=11)
+    pos = 0
+    for y, m in calls:
+        p = leq_probability(k_position_true(inst, y), inst.k, rho)
+        if m is None:
+            assert (o.query(y) is Response.LEQ) == (doubles[pos] < p)
+            pos += 1
+        else:
+            assert o.query_batch(y, m) == np.count_nonzero(doubles[pos:pos + m] < p)
+            pos += m
+        assert o.query_count == pos
+        # a rejected call counts nothing and leaves the stream where it was
+        for bad_y, bad_m in [(8, -1), (0, 1), (2.5, 1)]:
+            with pytest.raises((DomainError, TypeError)):
+                o.query_batch(bad_y, bad_m)
+        assert o.query_count == pos
+    assert pos == total
+
+
+def test_oracle_memory_is_bounded():
+    # an oracle keeps at most READ_AHEAD drawn doubles between calls,
+    # whatever batches it has served
+    o = Oracle(make_instance(16, 2, [3, 10]), NoiseModel(0.9), seed=0)
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        for m in (1, 512, 2**20):
+            o.query_batch(8, m)
+            current, _ = tracemalloc.get_traced_memory()
+            assert current - base <= 8 * READ_AHEAD + 4096, (m, current - base)
+    finally:
+        tracemalloc.stop()
 
 
 def test_query_batch_memory_is_bounded():
