@@ -107,13 +107,13 @@ class ExperimentResult:
 
 def load_instance_file(path: str) -> Instance:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read instance file {path}: {exc}") from exc
     try:
         return Instance.from_json(text)
-    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise DataError(f"malformed instance file {path}: {exc}") from exc
 
 

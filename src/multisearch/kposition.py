@@ -13,6 +13,7 @@ inverse of ``leq_probability`` before rounding.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -91,13 +92,12 @@ def count_threshold(t: int, m: int, k: int, rho: float = 1.0) -> int:
 def estimate_k_position(oracle: Oracle, y: int, m: int) -> KPosEstimate:
     """Estimate the k-position of y with m queries.
 
-    The oracle returns the LEQ count of the m answers, served from its
-    read-ahead buffer of ``model.READ_AHEAD`` drawn doubles and drawn in
-    chunks of ``model.CHUNK`` beyond it, so an estimate's memory is
-    O(READ_AHEAD + CHUNK) whatever m is.
     y = 0 and y = n are analytically forced (0 and k) and cost zero
-    queries.
+    queries. y and m must be integers, checked before the forced ends.
     """
+    if type(y) is bool or type(m) is bool:
+        raise TypeError(f"y and m must be integers, got {y!r}, {m!r}")
+    y, m = operator.index(y), operator.index(m)
     n, k = oracle.n, oracle.k
     if not (0 <= y <= n):
         raise DomainError(f"y must be in [0, {n}], got {y}")

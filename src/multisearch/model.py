@@ -45,11 +45,9 @@ class Response(Enum):
 # A transcript is an ordered list of (queried value, response) pairs.
 Transcript = list[tuple[int, Response]]
 
-# answers are drawn this many doubles (128 KiB) at a time, so an estimate's
-# memory stays in cache and does not grow with its query budget
-CHUNK = 1 << 14
-# an oracle keeps at most this many drawn doubles (64 KiB) ahead of the
-# answers it has served, so a small batch is a slice, not a generator call
+# an oracle draws its answers into one buffer of this many doubles (64 KiB),
+# refilled in place, so a small batch is a slice, not a generator call, and
+# an estimate's memory stays in cache whatever its query budget
 READ_AHEAD = 1 << 13
 
 
@@ -162,18 +160,21 @@ class Oracle:
         self.query_count = 0
         self.n, self.k = self.instance.n, self.instance.k
         # drawn doubles; those from _pos on are the next answers' draws
-        self._ahead = np.empty(0)
-        self._pos = 0
+        self._ahead = np.empty(READ_AHEAD)
+        self._pos = READ_AHEAD
 
     def query_batch(self, y: int, m: int) -> int:
         """Perform m independent queries of y; returns the number of LEQ answers.
 
         The answers are the same stream as m calls of ``query(y)``. They are
-        served from a buffer of at most READ_AHEAD doubles drawn ahead; a
-        batch larger than what is left draws its middle CHUNK at a time, so
-        the memory is O(READ_AHEAD + CHUNK) whatever m is. y and m are
-        checked before anything is counted.
+        counted from one buffer of READ_AHEAD drawn doubles, refilled in
+        place whenever it runs out, so the memory is O(READ_AHEAD) whatever
+        m is. y and m are checked before anything is counted; a bool is
+        not taken as an integer.
         """
+        # inline, not a helper call: this runs once per batch on the hot path
+        if type(y) is bool or type(m) is bool:
+            raise TypeError(f"y and m must be integers, got {y!r}, {m!r}")
         y, m = operator.index(y), operator.index(m)
         if m < 0:
             raise DomainError(f"m must be >= 0, got {m}")
@@ -181,20 +182,14 @@ class Oracle:
             raise DomainError(f"y must be in [1, {self.n}], got {y}")
         p = leq_probability(bisect_right(self.instance.items, y), self.k, self.noise.rho)
         self.query_count += m
-        ahead, pos = self._ahead, self._pos
-        end = pos + m
-        if end <= len(ahead):
-            self._pos = end
-            return int(np.count_nonzero(ahead[pos:end] < p))
-        x = int(np.count_nonzero(ahead[pos:] < p))
-        m = end - len(ahead)
-        while m > READ_AHEAD:
-            piece = min(CHUNK, m)
-            x += int(np.count_nonzero(self._rng.random(piece) < p))
-            m -= piece
-        self._ahead = ahead = self._rng.random(READ_AHEAD)
-        self._pos = m
-        return x + int(np.count_nonzero(ahead[:m] < p))
+        ahead, pos, x = self._ahead, self._pos, 0
+        while m > READ_AHEAD - pos:
+            x += int(np.count_nonzero(ahead[pos:] < p))
+            m -= READ_AHEAD - pos
+            self._rng.random(out=ahead)
+            pos = 0
+        self._pos = pos + m
+        return x + int(np.count_nonzero(ahead[pos:pos + m] < p))
 
     def query(self, y: int) -> Response:
         return Response.LEQ if self.query_batch(y, 1) else Response.GT

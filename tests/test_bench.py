@@ -249,9 +249,11 @@ def test_cli_data_error_exit_3(tmp_path):
                        ("nan_k.json", '{"n": 4, "k": NaN, "items": [1]}'),
                        ("bool_k.json", '{"n": 16, "k": true, "items": [1]}'),
                        ("bool_item.json", '{"n": 16, "k": 1, "items": [true]}'),
-                       ("bool_all.json", '{"n": 16, "k": true, "items": [true]}')]:
+                       ("bool_all.json", '{"n": 16, "k": true, "items": [true]}'),
+                       ("utf16.json", b"\xff\xfe{\x00}\x00"),
+                       ("deep.json", "[" * 200_000)]:
         path = tmp_path / name
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         proc = _cli("bench", "--n", "16", "--k", "2",
                     "--instance", f"file:{path}")
         assert proc.returncode == 3 and "Traceback" not in proc.stderr, name

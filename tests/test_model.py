@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from multisearch.analysis import binom_pmf
 from multisearch.kposition import estimate_k_position
-from multisearch.model import (CHUNK, READ_AHEAD, DomainError, Instance, NoiseModel,
+from multisearch.model import (READ_AHEAD, DomainError, Instance, NoiseModel,
                                Oracle, Response, k_position_true, leq_probability,
                                make_instance, sample_instance)
 
@@ -139,9 +139,10 @@ def test_query_count_accounting():
 
 
 @pytest.mark.parametrize("rho", [1.0, 0.9])
-@pytest.mark.parametrize("m", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+@pytest.mark.parametrize("m", [1, 2 * READ_AHEAD - 1, 2 * READ_AHEAD, 2 * READ_AHEAD + 1,
+                               6 * READ_AHEAD + 5])
 def test_query_batch_is_the_query_stream(rho, m):
-    # counting in chunks reads the same answers as m single queries
+    # counting through the refilled buffer reads the same answers as m single queries
     inst = make_instance(16, 2, [3, 10])
     a = Oracle(inst, NoiseModel(rho), seed=5)
     b = Oracle(inst, NoiseModel(rho), seed=5)
@@ -152,12 +153,16 @@ def test_query_batch_is_the_query_stream(rho, m):
 
 
 def test_query_batch_rejects_non_integral_y():
-    # y is checked before it is counted: a float neither spends queries nor
-    # moves the stream, and a k-position estimate of it makes no estimate
+    # y is checked before it is counted: a float or a bool neither spends
+    # queries nor moves the stream, and a k-position estimate of it makes no
+    # estimate, not even a forced one at y = 0 or y = n
     inst = make_instance(16, 2, [3, 10])
     o, ref = Oracle(inst, seed=3), Oracle(inst, seed=3)
     for call in (lambda: o.query_batch(2.5, 4), lambda: o.query(3.0),
-                 lambda: estimate_k_position(o, 2.5, 8)):
+                 lambda: estimate_k_position(o, 2.5, 8),
+                 lambda: estimate_k_position(o, 0.0, 8),
+                 lambda: estimate_k_position(o, 16.0, 8),
+                 lambda: o.query_batch(True, 4), lambda: o.query_batch(8, True)):
         with pytest.raises(TypeError):
             call()
     assert o.query_count == 0
@@ -167,11 +172,11 @@ def test_query_batch_rejects_non_integral_y():
 @pytest.mark.parametrize("rho", [1.0, 0.9])
 def test_query_batch_reads_the_reference_stream(rho):
     # a mixed sequence of batches and single queries, straddling the
-    # read-ahead's and CHUNK's boundaries, counts the answers of one
-    # unbuffered draw of the seed's doubles, in order, none skipped or repeated
+    # buffer's refills, counts the answers of one unbuffered draw of the
+    # seed's doubles, in order, none skipped or repeated
     inst = make_instance(16, 2, [3, 10])
-    sizes = [0, 1, READ_AHEAD - 1, READ_AHEAD, READ_AHEAD + 1, 3200, CHUNK + 1,
-             3 * CHUNK + 5]
+    sizes = [0, 1, READ_AHEAD - 1, READ_AHEAD, READ_AHEAD + 1, 3200, 2 * READ_AHEAD + 1,
+             6 * READ_AHEAD + 5]
     calls = []  # (y, m) is query_batch(y, m); (y, None) is query(y)
     for i, m in enumerate(sizes + sizes[::-1]):
         y = [8, 4, 2, 16][i % 4]
@@ -221,6 +226,19 @@ def test_query_batch_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 2**20, peak
+
+
+def test_query_batch_allocates_no_drawn_doubles():
+    # a batch draws into the oracle's own buffer in place: its peak is one
+    # boolean compare mask of the buffer, whatever m is
+    o = Oracle(make_instance(16, 2, [3, 10]), NoiseModel(0.9), seed=0)
+    tracemalloc.start()
+    try:
+        o.query_batch(8, 2**24)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= READ_AHEAD + 4096, peak
 
 
 @pytest.mark.parametrize("rho", [1.0, 0.75])
