@@ -84,6 +84,8 @@ class ExperimentConfig:
 @dataclass
 class ExperimentResult:
     rows: list[dict] = field(default_factory=list)
+    # each trial's recovered multiset, kept beside the fixed-schema rows
+    recovered: list[list[int]] = field(default_factory=list)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -148,6 +150,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             "success": tuple(report.recovered) == inst.items,
             "elapsed_ms": round(elapsed_ms, 3),
         })
+        result.recovered.append(report.recovered)
     return result
 
 

@@ -1,7 +1,8 @@
 """Command-line benchmark harness.
 
 Subcommands:
-  solve    run one solver on one instance and print a JSON report
+  solve    run one solver on one instance and print a JSON report:
+           the bench row plus the recovered multiset
   bench    run seeded Monte Carlo trials and write CSV/JSON rows
   scaling  sweep k or n and print the fitted query-count exponent
 
@@ -74,8 +75,7 @@ def _config_from_args(args, trials: int = 1) -> ExperimentConfig:
 
 def _cmd_solve(args) -> int:
     result = run_experiment(_config_from_args(args, trials=1))
-    row = result.rows[0]
-    print(json.dumps(row, indent=2))
+    print(json.dumps({**result.rows[0], "recovered": result.recovered[0]}, indent=2))
     return EXIT_OK
 
 

@@ -6,14 +6,18 @@ chain of length m' = m + 1 below every leaf, where m is the walk length.
 Each step first checks, via endpoint k-position estimates, whether the
 t-th element lies in the current interval; on failure it backtracks one
 edge, and on success it descends using a midpoint estimate (or moves one
-node further down a leaf chain). After exactly m steps the walk either
-sits on a leaf/chain node (output its value) or has failed.
+node further down a leaf chain). After m steps the walk either sits on a
+leaf/chain node (output its value) or has failed. The walk stops as soon
+as its value is decided: once its chain depth is at least the number of
+steps left, it cannot climb off its leaf, so the remaining steps are not
+taken.
 
 ``walk_step`` states one step for every node. ``find_tth`` calls it for
 tree nodes and takes the chain steps, nearly all of a walk's steps, itself:
 there both endpoint checks read one LEQ count against one threshold
 (``kposition.count_threshold``), with the same queries in the same order
-as ``walk_step``, so every draw and query count is the same.
+as ``walk_step``. So a walk's queries are a prefix of those of m
+``walk_step`` calls on the same oracle, and its value is theirs.
 
 Because single estimates err with probability < 0.3 per step while the
 correct direction is taken with probability > 0.7, the walk drifts toward
@@ -129,7 +133,8 @@ def walk_step(oracle: Oracle, node: WalkNode, t: int, cfg: WalkConfig) -> WalkNo
 
 
 def find_tth(oracle: Oracle, t: int, n: int, k: int, cfg: WalkConfig) -> Optional[int]:
-    """Walk cfg.m steps from the root; return the leaf value, or None on failure."""
+    """Walk cfg.m steps from the root, or until the value is decided;
+    return the leaf value, or None on failure."""
     check_oracle_shape(oracle, n, k)
     if not (1 <= t <= k):
         raise DomainError(f"t must be in [1, {k}], got {t}")
@@ -140,11 +145,16 @@ def find_tth(oracle: Oracle, t: int, n: int, k: int, cfg: WalkConfig) -> Optiona
     query_batch = oracle.query_batch
     # node is a tree node; depth > 0 means that many steps down its chain
     node, depth = WalkNode(1, n), 0
-    for _ in range(cfg.m):
+    # left counts the steps still to take, this one included
+    for left in range(cfg.m, 0, -1):
         if not depth:
             node = walk_step(oracle, node, t, cfg)
             node, depth = WalkNode(node.a, node.b), node.chain_depth
             continue
+        if depth >= left:
+            # leaving the leaf takes depth + 1 backtracks, more than the
+            # steps left: the full walk ends on this leaf's chain
+            break
         a = node.a
         ka_ok = a == 1 or query_batch(a - 1, m1) < x_t
         kb_ok = a == n or query_batch(a, m1) >= x_t

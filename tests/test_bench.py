@@ -130,6 +130,19 @@ def test_cli_solve():
     assert row["n"] == 16 and row["algo"] == "walker"
 
 
+def test_cli_solve_prints_recovered(tmp_path):
+    # solve reports the recovered multiset next to the row; bench rows keep
+    # the fixed header
+    path = tmp_path / "inst.json"
+    path.write_text(make_instance(12, 3, [2, 7, 7]).to_json())
+    for algo in SOLVERS:
+        proc = _cli("solve", "--algo", algo, "--seed", "3", "--instance", f"file:{path}")
+        assert proc.returncode == 0, (algo, proc.stderr)
+        row = json.loads(proc.stdout)
+        assert list(row) == [*CSV_HEADER, "recovered"], algo
+        assert row["recovered"] == [2, 7, 7] and row["success"] is True, algo
+
+
 def test_cli_file_instance_ignores_n_and_k(tmp_path):
     # a file: instance fixes n and k; the flags' values are not read
     path = tmp_path / "inst.json"
@@ -279,17 +292,17 @@ def test_rng_stream_pinned():
 # config's (its rows report the file's n and k)
 SEED7_ROWS = [
     (dict(instance="uniform"), [
-        "0,7191089600892374487,16,4,walker,uniform,251776,true",
-        "1,309689372594955804,16,4,walker,uniform,287488,true"]),
+        "0,7191089600892374487,16,4,walker,uniform,128128,true",
+        "1,309689372594955804,16,4,walker,uniform,146688,true"]),
     (dict(instance="distinct"), [
-        "0,7191089600892374487,16,4,walker,distinct,216192,true",
-        "1,309689372594955804,16,4,walker,distinct,287616,true"]),
+        "0,7191089600892374487,16,4,walker,distinct,110720,true",
+        "1,309689372594955804,16,4,walker,distinct,146816,true"]),
     (dict(instance="cluster"), [
-        "0,7191089600892374487,16,4,walker,cluster,252032,true",
-        "1,309689372594955804,16,4,walker,cluster,251904,true"]),
+        "0,7191089600892374487,16,4,walker,cluster,128896,true",
+        "1,309689372594955804,16,4,walker,cluster,128544,true"]),
     (dict(instance="bins"), [
-        "0,7191089600892374487,16,4,walker,bins,216192,true",
-        "1,309689372594955804,16,4,walker,bins,216320,true"]),
+        "0,7191089600892374487,16,4,walker,bins,110720,true",
+        "1,309689372594955804,16,4,walker,bins,110336,true"]),
     (dict(algo="naive"), [
         "0,7191089600892374487,16,4,naive,uniform,4272,true",
         "1,309689372594955804,16,4,naive,uniform,4272,true"]),
@@ -297,8 +310,8 @@ SEED7_ROWS = [
         "0,7191089600892374487,4,8,dense,uniform,1920,true",
         "1,309689372594955804,4,8,dense,uniform,1920,true"]),
     (dict(instance="file", n=99, k=5), [
-        "0,7191089600892374487,12,3,walker,{file},121248,true",
-        "1,309689372594955804,12,3,walker,{file},121248,true"]),
+        "0,7191089600892374487,12,3,walker,{file},61632,true",
+        "1,309689372594955804,12,3,walker,{file},61632,true"]),
 ]
 
 
@@ -328,9 +341,9 @@ def test_cli_rows_pinned_csv_equals_json():
     assert lines[0].split(",") == CSV_HEADER
     csv_rows = [dict(zip(CSV_HEADER, line.split(","))) for line in lines[1:]]
     assert [",".join(r[h] for h in CSV_HEADER[:8]) for r in csv_rows] == [
-        "0,7191089600892374487,64,4,walker,uniform,378496,true",
-        "1,309689372594955804,64,4,walker,uniform,432128,true",
-        "2,16616101746815609346,64,4,walker,uniform,431872,true"]
+        "0,7191089600892374487,64,4,walker,uniform,193280,true",
+        "1,309689372594955804,64,4,walker,uniform,220160,true",
+        "2,16616101746815609346,64,4,walker,uniform,220192,true"]
     as_csv = lambda v: ("true" if v else "false") if isinstance(v, bool) else str(v)
     json_rows = [{h: as_csv(v) for h, v in row.items()}
                  for row in json.loads(by_format["json"])]

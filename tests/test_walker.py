@@ -85,37 +85,86 @@ def test_backtrack_reaches_root():
     assert nxt == WalkNode(1, 4)
 
 
-def _reference_find_tth(oracle, t, cfg):
-    """find_tth as cfg.m plain walk_step calls; also counts chain backtracks."""
-    node, chain_backtracks = WalkNode(1, oracle.n), 0
-    for _ in range(cfg.m):
+def _reference_find_tth(oracle, t, cfg, stop=False):
+    """find_tth as plain walk_step calls: cfg.m of them, or with ``stop``
+    only until the chain depth reaches the steps left. Also returns the
+    chain backtracks and the steps taken."""
+    node, chain_backtracks, steps = WalkNode(1, oracle.n), 0, 0
+    for left in range(cfg.m, 0, -1):
+        if stop and node.chain_depth >= left:
+            break
         nxt = walk_step(oracle, node, t, cfg)
         chain_backtracks += nxt.chain_depth < node.chain_depth
-        node = nxt
-    return (node.a if node.is_leaf else None), chain_backtracks
+        node, steps = nxt, steps + 1
+    return (node.a if node.is_leaf else None), chain_backtracks, steps
 
 
 @pytest.mark.parametrize("rho", [1.0, 0.75])
 def test_find_tth_matches_walk_step_loop(rho):
     # inline chain steps draw the same queries in the same order as
-    # walk_step: same value, same query count, same stream position after
-    cases = [(make_instance(16, 4, [1, 5, 9, 16]), _cfg(16, 4, rho=rho)),
-             (make_instance(1, 2, [1, 1]), _cfg(1, 2, rho=rho)),
+    # walk_step, up to the stop: same value, same query count, same stream
+    # position after as the stopped reference; and the full-length walk on
+    # the same answers reaches the same value
+    tiny = WalkConfig(m=200, step1_m=3, step2_m=3)
+    cases = [(make_instance(16, 4, [1, 5, 9, 16]), _cfg(16, 4, rho=rho), 3),
+             (make_instance(1, 2, [1, 1]), _cfg(1, 2, rho=rho), 3),
              # tiny budgets: walks often fall off their chains and backtrack
-             (make_instance(16, 4, [1, 5, 9, 16]), WalkConfig(m=200, step1_m=3, step2_m=3))]
-    chain_backtracks = 0
-    for case, (inst, cfg) in enumerate(cases):
+             (make_instance(16, 4, [1, 5, 9, 16]), tiny, 3),
+             # leaves at two tree depths and an odd walk length: here
+             # left - depth takes both parities on a chain, so a stop one
+             # step too early changes values
+             (make_instance(13, 4, [1, 5, 9, 13]), tiny, 60),
+             (make_instance(16, 4, [1, 5, 9, 16]), WalkConfig(m=13, step1_m=3, step2_m=3), 60),
+             (make_instance(13, 4, [1, 5, 9, 13]), WalkConfig(m=13, step1_m=3, step2_m=3), 60)]
+    chain_backtracks = stopped_early = 0
+    for case, (inst, cfg, seeds) in enumerate(cases):
         for t in range(1, inst.k + 1):
-            for i in range(3):
+            for i in range(seeds):
                 seed = derive_seed(91, 100 * case + 10 * t + i)
                 fast = Oracle(inst, NoiseModel(rho), seed=seed)
                 ref = Oracle(inst, NoiseModel(rho), seed=seed)
-                expected, backtracks = _reference_find_tth(ref, t, cfg)
+                full = Oracle(inst, NoiseModel(rho), seed=seed)
+                expected, backtracks, steps = _reference_find_tth(ref, t, cfg, stop=True)
                 chain_backtracks += backtracks
+                stopped_early += steps < cfg.m
                 assert find_tth(fast, t, inst.n, inst.k, cfg) == expected
                 assert fast.query_count == ref.query_count
                 assert fast.query_batch(1, 64) == ref.query_batch(1, 64)
+                assert _reference_find_tth(full, t, cfg)[0] == expected
     assert chain_backtracks > 0
+    assert stopped_early > 0
+
+
+def _descent(n, v):
+    """Tree intervals from the root [1, n] down to the leaf [v, v]."""
+    a, b, path = 1, n, []
+    while a < b:
+        path.append((a, b))
+        u = (a + b) // 2
+        a, b = (a, u) if v <= u else (u + 1, b)
+    return path
+
+
+@pytest.mark.parametrize("n, v", [(1, 1), (2, 2), (13, 1), (13, 7), (13, 13),
+                                  (16, 1), (16, 11), (16, 16), (1000, 437)])
+def test_find_tth_query_count_closed_form(n, v):
+    # k = 1 at rho = 1: every estimate is exact, so the walk descends to v,
+    # steps onto its chain and goes down it until the chain depth reaches
+    # the steps left. Ends 0 and n are forced and cost nothing
+    inst = make_instance(n, 1, [v])
+    for cfg in (_cfg(n, 1), WalkConfig(m=40, step1_m=5, step2_m=7),
+                WalkConfig(m=41, step1_m=5, step2_m=7)):
+        cost = lambda y: 0 if y in (0, n) else cfg.step1_m
+        path = _descent(n, v)
+        tree = sum(cost(a - 1) + cost(b) + cfg.step2_m for a, b in path)
+        leaf = cost(v - 1) + cost(v)
+        # after the descent and the leaf step the depth is 1 with
+        # m - s steps left; j more chain steps end at 1 + j >= m - s - j
+        s = len(path) + 1
+        chain_steps = (cfg.m - s) // 2
+        o = Oracle(inst, seed=derive_seed(5, n + v))
+        assert find_tth(o, 1, n, 1, cfg) == v
+        assert o.query_count == tree + (1 + chain_steps) * leaf, cfg
 
 
 def test_find_tth_single_leaf():
