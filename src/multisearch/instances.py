@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import DomainError, Instance, check_int64_range, make_instance
+from .model import DomainError, Instance, check_int64_range, check_n_k, make_instance
 
 
 def cluster_instance(n: int, k: int, seed: int) -> Instance:
     """One uniform element per cluster [(i-1)n/k + 1, i*n/k]; requires k | n."""
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
+    check_n_k(n, k)
     if n % k != 0:
         raise DomainError(f"cluster instance needs k | n, got n={n}, k={k}")
     width = n // k

@@ -52,7 +52,8 @@ def _queries_for_exponent(k: int, log2_inv_delta: float, rho: float) -> int:
     """
     m = 2.0 * k * k * (1.0 + log2_inv_delta) / (2.0 * rho - 1.0) ** 2
     if not math.isfinite(m):
-        raise DomainError(f"query budget is not finite for log2(1/delta) = {log2_inv_delta}")
+        raise DomainError("no finite query budget for a per-estimate failure "
+                          f"probability of 2^-{log2_inv_delta}")
     return math.ceil(m)
 
 

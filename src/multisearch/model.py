@@ -98,14 +98,19 @@ def _integral(values: list, what: str) -> list[int]:
 def make_instance(n: int, k: int, items) -> Instance:
     """Build a canonical (sorted) instance, validating range and cardinality."""
     n, k = _integral([n, k], "n and k")
-    if n < 1 or k < 1:
-        raise DomainError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+    check_n_k(n, k)
     items = sorted(_integral(list(items), "items"))
     if len(items) != k:
         raise DomainError(f"expected {k} items, got {len(items)}")
     if items[0] < 1 or items[-1] > n:
         raise DomainError(f"items must lie in [1, {n}]: {items}")
     return Instance(n=n, k=k, items=tuple(items))
+
+
+def check_n_k(n: int, k: int) -> None:
+    """Reject n < 1 or k < 1: an instance is k >= 1 values in [1, n]."""
+    if n < 1 or k < 1:
+        raise DomainError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
 
 
 def check_int64_range(n: int) -> None:
@@ -116,6 +121,7 @@ def check_int64_range(n: int) -> None:
 
 def sample_instance(n: int, k: int, mode: str, seed: int) -> Instance:
     """Sample a random instance: k i.i.d. uniform values, or a uniform k-subset."""
+    check_n_k(n, k)
     check_int64_range(n)
     rng = np.random.Generator(np.random.PCG64(seed))
     if mode == "with-replacement":

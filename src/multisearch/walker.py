@@ -132,10 +132,10 @@ def walk_step(oracle: Oracle, node: WalkNode, t: int, cfg: WalkConfig) -> WalkNo
     return WalkNode(node.a, node.b, node.chain_depth + 1)
 
 
-def find_tth(oracle: Oracle, t: int, n: int, k: int, cfg: WalkConfig) -> Optional[int]:
+def find_tth(oracle: Oracle, t: int, cfg: WalkConfig) -> Optional[int]:
     """Walk cfg.m steps from the root, or until the value is decided;
     return the leaf value, or None on failure."""
-    check_oracle_shape(oracle, n, k)
+    n, k = oracle.n, oracle.k
     if not (1 <= t <= k):
         raise DomainError(f"t must be in [1, {k}], got {t}")
     # on a chain node [a, a] walk_step's checks ka <= t - 1 and kb >= t
@@ -173,7 +173,7 @@ def solve_walker(oracle: Oracle, n: int, k: int, delta: float) -> SolverReport:
     per_target = []
     for t in range(1, k + 1):
         before = oracle.query_count
-        value = find_tth(oracle, t, n, k, cfg)
+        value = find_tth(oracle, t, cfg)
         per_target.append((t, value, oracle.query_count - before))
     recovered = sorted(v for _, v, _ in per_target if v is not None)
     total = sum(q for _, _, q in per_target)

@@ -1,4 +1,5 @@
-"""Child processes of the CLI tests import multisearch from where this run does."""
+"""Fresh interpreters that tests start (C12, the CLI import check) import
+multisearch from where this run does."""
 
 import os
 

@@ -3,17 +3,13 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from multisearch.analysis import (berndiv_bound_check, binom_pmf,
                                   estimator_success_prob, kl_bernoulli,
                                   ml_decode)
 from multisearch.kposition import estimate_from_counts
 from multisearch.model import (CapacityError, DomainError, Oracle, Response,
-                               collect_transcript, make_instance,
-                               sample_instance)
-from multisearch.seeds import derive_seed
+                               collect_transcript, make_instance)
 
 
 def test_kl_conventions():
@@ -37,13 +33,14 @@ def test_kl_domain_errors():
         kl_bernoulli(0.5, 1.2)
 
 
-@given(st.floats(0.01, 0.99), st.floats(0.01, 0.99))
-@settings(max_examples=200, deadline=None)
-def test_kl_gibbs_inequality(p, q):
-    v = kl_bernoulli(p, q)
-    assert v >= -1e-15
-    if abs(p - q) > 1e-9:
-        assert v > 0.0
+def test_kl_gibbs_inequality():
+    grid = [i / 100 for i in range(1, 100)]
+    for p in grid:
+        for q in grid:
+            v = kl_bernoulli(p, q)
+            assert v >= -1e-15
+            if p != q:
+                assert v > 0.0, (p, q)
 
 
 def test_berndiv_bound_examples():
@@ -131,19 +128,6 @@ def test_ml_decode_permutation_invariant():
     shuffled = list(transcript)
     random.Random(0).shuffle(shuffled)
     assert ml_decode(transcript, 5, 2) == ml_decode(shuffled, 5, 2)
-
-
-def test_ml_decode_recovery_rate():
-    hits = 0
-    trials = 50
-    for i in range(trials):
-        ts = derive_seed(321, i)
-        inst = sample_instance(5, 2, "with-replacement", derive_seed(ts, 1))
-        o = Oracle(inst, seed=derive_seed(ts, 2))
-        rng = np.random.Generator(np.random.PCG64(derive_seed(ts, 3)))
-        ys = rng.integers(1, 6, size=2000).tolist()
-        hits += ml_decode(collect_transcript(o, ys), 5, 2) == inst.items
-    assert hits / trials >= 0.95
 
 
 def test_ml_decode_capacity_guard():

@@ -1,16 +1,17 @@
 import argparse
+import contextlib
+import io
 import json
 import re
-import subprocess
-import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
 import multisearch.bench
 from multisearch.bench import (CSV_HEADER, SOLVERS, DataError, ExperimentConfig,
                                fit_scaling, run_experiment)
-from multisearch.cli import build_parser
+from multisearch.cli import build_parser, main
 from multisearch.model import DomainError, make_instance
 from multisearch.seeds import derive_seed
 
@@ -118,9 +119,25 @@ def test_malformed_instance_file(tmp_path):
         run_experiment(_config(instance=f"file:{path}"))
 
 
+class CliRun(NamedTuple):
+    returncode: int
+    stdout: str
+    stderr: str
+
+
 def _cli(*args):
-    return subprocess.run([sys.executable, "-m", "multisearch.cli", *args],
-                          capture_output=True, text=True)
+    """Run the CLI in this process and capture its exit code and output.
+
+    argparse's SystemExit gives the exit code; any other exception
+    propagates, so an input that would end in a traceback fails the test.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return CliRun(code, out.getvalue(), err.getvalue())
 
 
 def test_cli_solve():
@@ -222,11 +239,42 @@ def test_cli_usage_error_exit_2(tmp_path):
         proc = _cli("scaling", "--n", "16", "--k", "2", "--instance", f"file:{path}",
                     "--sweep", sweep, "--values", values, "--trials", "2")
         assert proc.returncode == 2 and "Traceback" not in proc.stderr, sweep
-    # a dense exponent with no finite query budget
+    # a dense exponent with no finite query budget; dense reads no delta,
+    # so its message names none
     for c in ("nan", "1e308"):
         proc = _cli("bench", "--algo", "dense", "--n", "8", "--k", "12",
                     "--trials", "1", "--dense-c", c)
         assert proc.returncode == 2 and "Traceback" not in proc.stderr, c
+        assert "delta" not in proc.stderr, (c, proc.stderr)
+
+
+# (flag, bad value, the algos that read the flag): each is checked by its
+# reader, so it exits 2 under those algos and is not read under the others
+FLAG_OWNERS = [("--rho", "0.5", tuple(SOLVERS)), ("--rho", "nan", tuple(SOLVERS)),
+               ("--delta", "5", ("walker", "naive")), ("--delta", "0", ("walker", "naive")),
+               ("--dense-c", "-1", ("dense",)), ("--dense-c", "nan", ("dense",))]
+
+
+@pytest.mark.parametrize("algo", list(SOLVERS))
+@pytest.mark.parametrize("flag, value, readers", FLAG_OWNERS,
+                         ids=[f"{flag}={value}" for flag, value, _ in FLAG_OWNERS])
+def test_cli_flag_checked_by_the_algo_that_reads_it(flag, value, readers, algo):
+    proc = _cli("bench", "--n", "8", "--k", "4", "--trials", "1", "--algo", algo,
+                flag, value)
+    if algo in readers:
+        assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    else:
+        assert proc.returncode == 0, proc.stderr
+        assert len(proc.stdout.splitlines()) == 2
+
+
+@pytest.mark.parametrize("kind", ["uniform", "distinct", "cluster", "bins"])
+def test_cli_generator_rejects_n_or_k_below_one(kind):
+    for n, k in [("0", "4"), ("8", "0")]:
+        proc = _cli("bench", "--n", n, "--k", k, "--trials", "1", "--instance", kind)
+        assert proc.returncode == 2 and proc.stdout == "", (n, k, proc.stderr)
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
 def test_readme_lists_every_cli_flag():

@@ -1,6 +1,7 @@
+import itertools
+import random
+
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from multisearch.dense import (multiset_from_profile, repair_monotone,
                                solve_dense, solve_naive)
@@ -8,7 +9,7 @@ from multisearch.kposition import queries_for_confidence
 from multisearch.model import (DomainError, Oracle, k_position_true,
                                make_instance)
 from multisearch.seeds import derive_seed
-from multisearch.walker import WalkConfig, ceil_log2, find_tth, solve_walker
+from multisearch.walker import ceil_log2, solve_walker
 
 
 def test_ground_truth_profile_recovers_instance():
@@ -21,14 +22,19 @@ def test_ground_truth_profile_recovers_instance():
     assert multiset_from_profile(profile) == [1, 2, 2, 4]
 
 
-@given(st.lists(st.integers(0, 12), min_size=1, max_size=30))
-@settings(max_examples=100, deadline=None)
-def test_repair_monotone_properties(values):
-    repaired = repair_monotone(values)
-    assert all(a <= b for a, b in zip(repaired, repaired[1:]))
-    assert all(r >= v for r, v in zip(repaired, values))
-    if all(a <= b for a, b in zip(values, values[1:])):
-        assert repaired == values
+def test_repair_monotone_properties():
+    # every list of length <= 6 over 0..3, plus seeded long lists over 0..12
+    rng = random.Random(12)
+    cases = [list(v) for length in range(1, 7)
+             for v in itertools.product(range(4), repeat=length)]
+    cases += [[rng.randint(0, 12) for _ in range(rng.randint(7, 30))] for _ in range(200)]
+    for values in cases:
+        repaired = repair_monotone(values)
+        assert len(repaired) == len(values)
+        assert all(a <= b for a, b in zip(repaired, repaired[1:]))
+        assert all(r >= v for r, v in zip(repaired, values))
+        if all(a <= b for a, b in zip(values, values[1:])):
+            assert repaired == values
 
 
 def test_solve_dense_examples():
@@ -51,19 +57,6 @@ def test_solve_dense_budget_closed_form():
         assert r.total_queries == (n - 1) * m_pt
         assert len(r.per_target) == k
         assert sum(q for _, _, q in r.per_target) == r.total_queries
-
-
-def test_solve_dense_success_rate():
-    from multisearch.model import sample_instance
-
-    hits = 0
-    trials = 100
-    for i in range(trials):
-        ts = derive_seed(29, i)
-        inst = sample_instance(8, 12, "with-replacement", derive_seed(ts, 1))
-        r = solve_dense(Oracle(inst, seed=derive_seed(ts, 2)), 8, 12, 1.0)
-        hits += tuple(r.recovered) == inst.items
-    assert hits / trials >= 0.85
 
 
 def test_solve_naive_worked_example():
@@ -119,8 +112,7 @@ def test_preconditions():
     lambda o: solve_naive(o, 8, 2, 0.1),
     lambda o: solve_dense(o, 16, 1, 1.0),
     lambda o: solve_walker(o, 16, 3, 0.1),
-    lambda o: find_tth(o, 1, 16, 3, WalkConfig.for_problem(16, 3, 0.1)),
-], ids=["naive-n", "dense-k", "walker-k", "find_tth-k"])
+], ids=["naive-n", "dense-k", "walker-k"])
 def test_solvers_reject_n_k_unlike_the_oracle(solve):
     # a solver runs only on the (n, k) of the oracle it is given
     o = Oracle(make_instance(16, 2, [3, 10]), seed=0)

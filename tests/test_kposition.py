@@ -1,6 +1,5 @@
 import pytest
 
-from multisearch.analysis import estimator_success_prob
 from multisearch.kposition import (count_threshold, estimate_from_counts,
                                    estimate_k_position, queries_for_confidence,
                                    round_to_grid)
@@ -61,29 +60,6 @@ def test_extreme_truth_is_exact_noiseless():
     o = Oracle(inst, seed=5)
     assert estimate_k_position(o, 2, 1).k_pos == 0
     assert estimate_k_position(o, 12, 1).k_pos == 2
-
-
-def test_lemma_guarantee_exact_grid():
-    # budget m = queries_for_confidence(k, delta) really achieves 1 - delta,
-    # checked by exact binomial summation for every reachable truth
-    for k in range(1, 9):
-        for delta in (1 / 8, 1 / 16):
-            m = queries_for_confidence(k, delta)
-            for k_true in range(k + 1):
-                assert estimator_success_prob(k, m, k_true) >= 1 - delta
-
-
-def test_monte_carlo_matches_exact_oracle():
-    # frozen from the exact oracle: Pr[estimate == 1] for k=2, m=32, rho=1
-    exact = estimator_success_prob(2, 32, 1)
-    inst = make_instance(16, 2, [3, 10])  # K(8) = 1
-    trials = 20_000
-    hits = 0
-    for i in range(trials):
-        o = Oracle(inst, seed=derive_seed(77, i))
-        hits += estimate_k_position(o, 8, 32).k_pos == 1
-    assert abs(hits / trials - exact) < 0.01
-    assert exact >= 7 / 8
 
 
 def test_denoising_pipeline():

@@ -127,7 +127,7 @@ def test_find_tth_matches_walk_step_loop(rho):
                 expected, backtracks, steps = _reference_find_tth(ref, t, cfg, stop=True)
                 chain_backtracks += backtracks
                 stopped_early += steps < cfg.m
-                assert find_tth(fast, t, inst.n, inst.k, cfg) == expected
+                assert find_tth(fast, t, cfg) == expected
                 assert fast.query_count == ref.query_count
                 assert fast.query_batch(1, 64) == ref.query_batch(1, 64)
                 assert _reference_find_tth(full, t, cfg)[0] == expected
@@ -163,26 +163,26 @@ def test_find_tth_query_count_closed_form(n, v):
         s = len(path) + 1
         chain_steps = (cfg.m - s) // 2
         o = Oracle(inst, seed=derive_seed(5, n + v))
-        assert find_tth(o, 1, n, 1, cfg) == v
+        assert find_tth(o, 1, cfg) == v
         assert o.query_count == tree + (1 + chain_steps) * leaf, cfg
 
 
 def test_find_tth_single_leaf():
     o = Oracle(make_instance(1, 1, [1]), seed=0)
-    assert find_tth(o, 1, 1, 1, _cfg(1, 1)) == 1
+    assert find_tth(o, 1, _cfg(1, 1)) == 1
 
 
 def test_find_tth_exact_for_k1():
     # k=1 estimates are exact at rho=1, so the walk is deterministic
     for seed in range(10):
         o = Oracle(make_instance(4, 1, [4]), seed=seed)
-        assert find_tth(o, 1, 4, 1, _cfg(4, 1)) == 4
+        assert find_tth(o, 1, _cfg(4, 1)) == 4
 
 
 def test_find_tth_worked_example_rate():
     inst = make_instance(16, 2, [3, 10])
     cfg = _cfg(16, 2)
-    hits = sum(find_tth(Oracle(inst, seed=derive_seed(31, i)), 1, 16, 2, cfg) == 3
+    hits = sum(find_tth(Oracle(inst, seed=derive_seed(31, i)), 1, cfg) == 3
                for i in range(200))
     assert hits >= 180
 
