@@ -29,7 +29,7 @@ def _report(name, ok, detail=""):
 
 def test_c01_estimator_guarantee_exact():
     worst = 1.0
-    for k in range(1, 9):
+    for k in (2, 3, 4, 8):
         for delta in (1 / 8, 1 / 16):
             m = queries_for_confidence(k, delta)
             for k_true in range(k + 1):

@@ -1,5 +1,6 @@
 import pytest
 
+from multisearch.analysis import estimator_success_prob
 from multisearch.kposition import (count_threshold, estimate_from_counts,
                                    estimate_k_position, queries_for_confidence,
                                    round_to_grid)
@@ -60,6 +61,16 @@ def test_extreme_truth_is_exact_noiseless():
     o = Oracle(inst, seed=5)
     assert estimate_k_position(o, 2, 1).k_pos == 0
     assert estimate_k_position(o, 12, 1).k_pos == 2
+
+
+def test_lemma_guarantee_exact_grid():
+    # budget m = queries_for_confidence(k, delta) really achieves 1 - delta,
+    # checked by exact binomial summation for every reachable truth
+    for k in range(1, 9):
+        for delta in (1 / 8, 1 / 16):
+            m = queries_for_confidence(k, delta)
+            for k_true in range(k + 1):
+                assert estimator_success_prob(k, m, k_true) >= 1 - delta
 
 
 def test_denoising_pipeline():

@@ -148,6 +148,20 @@ def test_query_count_accounting():
     assert o.query_count == 12
 
 
+@pytest.mark.parametrize("rho", [1.0, 0.9])
+@pytest.mark.parametrize("m", [1, 2 * READ_AHEAD - 1, 2 * READ_AHEAD, 2 * READ_AHEAD + 1,
+                               6 * READ_AHEAD + 5])
+def test_query_batch_is_the_query_stream(rho, m):
+    # counting through the refilled buffer reads the same answers as m single queries
+    inst = make_instance(16, 2, [3, 10])
+    a = Oracle(inst, NoiseModel(rho), seed=5)
+    b = Oracle(inst, NoiseModel(rho), seed=5)
+    assert a.query_batch(8, m) == sum(b.query(8) is Response.LEQ for _ in range(m))
+    assert a.query_count == b.query_count == m
+    # both oracles stand at the same point of the stream afterwards
+    assert a.query_batch(8, 64) == b.query_batch(8, 64)
+
+
 def test_query_batch_rejects_non_integral_y():
     # y is checked before it is counted: a float or a bool neither spends
     # queries nor moves the stream, and a k-position estimate of it makes no
@@ -171,8 +185,8 @@ def test_query_batch_reads_the_reference_stream(rho):
     # buffer's refills, counts the answers of one unbuffered draw of the
     # seed's doubles, in order, none skipped or repeated
     inst = make_instance(16, 2, [3, 10])
-    sizes = [0, 1, READ_AHEAD - 1, READ_AHEAD, READ_AHEAD + 1, 3200, 2 * READ_AHEAD - 1,
-             2 * READ_AHEAD, 2 * READ_AHEAD + 1, 6 * READ_AHEAD + 5]
+    sizes = [0, 1, READ_AHEAD - 1, READ_AHEAD, READ_AHEAD + 1, 3200, 2 * READ_AHEAD + 1,
+             6 * READ_AHEAD + 5]
     calls = []  # (y, m) is query_batch(y, m); (y, None) is query(y)
     for i, m in enumerate(sizes + sizes[::-1]):
         y = [8, 4, 2, 16][i % 4]
