@@ -16,8 +16,12 @@ taken.
 tree nodes and takes the chain steps, nearly all of a walk's steps, itself:
 there both endpoint checks read one LEQ count against one threshold
 (``kposition.count_threshold``), with the same queries in the same order
-as ``walk_step``. So a walk's queries are a prefix of those of m
-``walk_step`` calls on the same oracle, and its value is theirs.
+as ``walk_step``. It takes them in guaranteed-step blocks
+(``chain_block``): steps that can neither bring the walk back to its tree
+node nor meet the stop, whatever their answers, so a step-by-step walk
+takes every one of them. One ``Oracle.query_rows`` call draws a block's
+answers, and none past it. So a walk's queries are a prefix of those of
+m ``walk_step`` calls on the same oracle, and its value is theirs.
 
 Because single estimates err with probability < 0.3 per step while the
 correct direction is taken with probability > 0.7, the walk drifts toward
@@ -132,6 +136,17 @@ def walk_step(oracle: Oracle, node: WalkNode, t: int, cfg: WalkConfig) -> WalkNo
     return WalkNode(node.a, node.b, node.chain_depth + 1)
 
 
+def chain_block(depth: int, left: int) -> int:
+    """Chain steps a walk at chain depth ``depth`` >= 1, with ``left`` > depth
+    steps to go, is sure to take whatever their answers.
+
+    Each step moves the depth by one. Within the block no step starts at
+    depth 0, where the next step is a tree step, or at a depth of at least
+    the steps left, where the walk stops.
+    """
+    return min(depth, (left - depth + 1) // 2)
+
+
 def find_tth(oracle: Oracle, t: int, cfg: WalkConfig) -> Optional[int]:
     """Walk cfg.m steps from the root, or until the value is decided;
     return the leaf value, or None on failure."""
@@ -142,23 +157,27 @@ def find_tth(oracle: Oracle, t: int, cfg: WalkConfig) -> Optional[int]:
     # are x_a < x_t and x_b >= x_t, drawn in that order; a forced end
     # (a = 1 or a = n) holds its check and costs no queries
     m1, x_t = cfg.step1_m, count_threshold(t, cfg.step1_m, k, oracle.noise.rho)
-    query_batch = oracle.query_batch
     # node is a tree node; depth > 0 means that many steps down its chain
     node, depth = WalkNode(1, n), 0
-    # left counts the steps still to take, this one included
-    for left in range(cfg.m, 0, -1):
+    # left counts the steps still to take
+    left = cfg.m
+    while left:
         if not depth:
             node = walk_step(oracle, node, t, cfg)
             node, depth = WalkNode(node.a, node.b), node.chain_depth
+            left -= 1
             continue
         if depth >= left:
             # leaving the leaf takes depth + 1 backtracks, more than the
             # steps left: the full walk ends on this leaf's chain
             break
-        a = node.a
-        ka_ok = a == 1 or query_batch(a - 1, m1) < x_t
-        kb_ok = a == n or query_batch(a, m1) >= x_t
-        depth += 1 if ka_ok and kb_ok else -1
+        # the next b chain steps are all taken: one call draws their
+        # unforced checks, row by row; a step goes down when both hold
+        a, b = node.a, chain_block(depth, left)
+        ys = [y for y in (a - 1, a) if 0 < y < n]
+        down = ((oracle.query_rows(ys, m1, b) >= x_t) == [y == a for y in ys]).all(axis=1)
+        depth += 2 * int(down.sum()) - b
+        left -= b
     return node.a if node.is_leaf else None
 
 

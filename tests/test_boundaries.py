@@ -30,6 +30,9 @@ class QueryOnlyOracle:
     def query_batch(self, y, m):
         return self._oracle.query_batch(y, m)
 
+    def query_rows(self, ys, m, rows):
+        return self._oracle.query_rows(ys, m, rows)
+
     def query(self, y):
         return self._oracle.query(y)
 
@@ -68,6 +71,15 @@ def test_perfbench_tracer_wraps_the_package(monkeypatch):
                (dense, "estimate_k_position"), (walker, "walk_step"),
                (walker, "parent_of"), (dense, "repair_monotone")]
     originals = [getattr(owner, attr) for owner, attr in wrapped]
+    # the tracer counts queries through query_batch only; a walk's chain
+    # blocks ask theirs through query_rows, counted here
+    query_rows, rows_queries = Oracle.query_rows, []
+
+    def counted_query_rows(self, ys, m, rows):
+        rows_queries.append(rows * len(ys) * m)
+        return query_rows(self, ys, m, rows)
+
+    monkeypatch.setattr(Oracle, "query_rows", counted_query_rows)
     tracer = tracing.Tracer()
     with tracer.installed():
         assert all(getattr(owner, attr) is not original
@@ -80,4 +92,6 @@ def test_perfbench_tracer_wraps_the_package(monkeypatch):
     # parent_of runs only on a backtrack, which a trial this small may not take
     assert {"model.query_batch", "kposition.estimate", "walker.walk_step",
             "dense.repair"} <= set(tracer.calls)
-    assert tracer.counts["queries"] == dense_oracle.query_count + walker_oracle.query_count > 0
+    assert tracer.counts["queries"] + sum(rows_queries) == \
+        dense_oracle.query_count + walker_oracle.query_count > 0
+    assert sum(rows_queries) > 0

@@ -241,6 +241,50 @@ def test_query_batch_allocates_no_drawn_doubles():
 
 
 @pytest.mark.parametrize("rho", [1.0, 0.75])
+@pytest.mark.parametrize("ys", [[8], [4, 12]], ids=["one_y", "two_ys"])
+@pytest.mark.parametrize("m", [1, 512, 3200, READ_AHEAD - 1, READ_AHEAD + 1,
+                               2 * READ_AHEAD + 1])
+def test_query_rows_is_the_query_stream(rho, ys, m):
+    # rows of counts are the query_batch calls they stand for, made row
+    # after row; successive calls start at other points of the buffer
+    inst = make_instance(16, 2, [3, 10])
+    a = Oracle(inst, NoiseModel(rho), seed=9)
+    b = Oracle(inst, NoiseModel(rho), seed=9)
+    for rows in (0, 1, 7, 40):
+        got = a.query_rows(ys, m, rows)
+        want = [[b.query_batch(y, m) for y in ys] for _ in range(rows)]
+        assert got.shape == (rows, len(ys))
+        assert got.tolist() == want
+        assert a.query_count == b.query_count
+        assert a.query_batch(2, 100) == b.query_batch(2, 100)
+    # a rejected call counts nothing and leaves the stream where it was
+    for bad in [([8.0], m, 2), ([True], m, 2), ([8], 2.0, 2), ([8], True, 2),
+                ([8], m, 2.0), ([8], m, False), ([8, 0], m, 2), ([17], m, 2),
+                ([8], -1, 2), ([8], m, -1)]:
+        with pytest.raises((DomainError, TypeError)):
+            a.query_rows(*bad)
+    assert a.query_count == b.query_count
+    assert a.query_batch(2, 100) == b.query_batch(2, 100)
+
+
+def test_query_rows_allocates_no_drawn_doubles():
+    # like a batch, a block of rows counts in the oracle's own buffer: its
+    # peak is one boolean compare mask of the buffer, numpy's cast buffer
+    # of the 2-D row sums and O(rows) counts, whatever m is
+    bound = READ_AHEAD + 8 * np.getbufsize() + 4096
+    peaks = {}
+    for m in (1, 512, 1024, 3200, 2**16, 2**20):
+        o = Oracle(make_instance(16, 2, [3, 10]), NoiseModel(0.9), seed=0)
+        tracemalloc.start()
+        try:
+            o.query_rows([4, 12], m, 40)
+            _, peaks[m] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert max(peaks.values()) <= bound, peaks
+
+
+@pytest.mark.parametrize("rho", [1.0, 0.75])
 def test_oracle_determinism(rho):
     inst = make_instance(16, 2, [3, 10])
     ys = [8, 4, 2, 3, 10, 16, 1] * 20

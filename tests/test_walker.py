@@ -2,7 +2,7 @@ import pytest
 
 from multisearch.model import DomainError, NoiseModel, Oracle, make_instance
 from multisearch.seeds import derive_seed
-from multisearch.walker import (WalkConfig, WalkNode, children,
+from multisearch.walker import (WalkConfig, WalkNode, chain_block, children,
                                 choose_walk_length, find_tth, midpoint,
                                 parent_of, solve_walker, walk_step)
 
@@ -133,6 +133,30 @@ def test_find_tth_matches_walk_step_loop(rho):
                 assert _reference_find_tth(full, t, cfg)[0] == expected
     assert chain_backtracks > 0
     assert stopped_early > 0
+
+
+def _block_is_taken(depth, left, steps):
+    """Whether a step-by-step walk takes ``steps`` chain steps from ``depth``
+    with ``left`` steps to go, whatever their moves: no step starts at depth
+    0 (a tree step) or at depth >= steps left (the stop). Every +-1 path is
+    covered through the set of depths its steps can start at."""
+    starts = {depth}
+    for j in range(steps):
+        if any(d == 0 or d >= left - j for d in starts):
+            return False
+        starts = {d + move for d in starts for move in (-1, 1)}
+    return True
+
+
+def test_chain_block_is_always_taken():
+    # find_tth draws a block's answers at once, so it must take every step
+    # of it; and the block is as long as that allows
+    for left in range(2, 81):
+        for depth in range(1, left):
+            b = chain_block(depth, left)
+            assert b >= 1
+            assert _block_is_taken(depth, left, b), (depth, left, b)
+            assert not _block_is_taken(depth, left, b + 1), (depth, left, b)
 
 
 def _descent(n, v):
