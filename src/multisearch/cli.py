@@ -103,6 +103,9 @@ def _cmd_scaling(args) -> int:
         values = [int(v) for v in args.values.split(",") if v.strip()]
     except ValueError as exc:
         raise DomainError(f"bad --values list: {exc}") from exc
+    # an n sweep's x is ceil(log2 n): each n needs a positive x of its own
+    if args.sweep == "n" and len({ceil_log2(n) for n in values if n >= 2}) < len(values):
+        raise DomainError(f"--sweep n needs n >= 2 with distinct ceil(log2 n), got {args.values}")
     points = []
     for value in values:
         config = _config_from_args(args, trials=args.trials)
@@ -111,7 +114,7 @@ def _cmd_scaling(args) -> int:
             x = value
         else:
             config.n = value
-            x = max(1, ceil_log2(value))
+            x = ceil_log2(value)
         result = run_experiment(config)
         points.extend((x, q) for q in result.queries)
     slope = fit_scaling(points)

@@ -36,8 +36,8 @@ def multiset_from_profile(profile: list[int]) -> list[int]:
 
 
 def _split_even(total: int, k: int) -> list[int]:
-    # dense queries are not per-target; split evenly so the report invariant
-    # (per-target sum = total) still holds
+    # dense queries are not per-target; split evenly so that their sum, the
+    # report's total_queries, is the oracle's count
     base, rem = divmod(total, k)
     return [base + (1 if i < rem else 0) for i in range(k)]
 
@@ -59,7 +59,7 @@ def solve_dense(oracle: Oracle, n: int, k: int, c: float = 1.0) -> SolverReport:
     total = oracle.query_count - before
     per_target = [(t, v, q)
                   for (t, v), q in zip(enumerate(recovered, start=1), _split_even(total, k))]
-    return SolverReport(recovered=recovered, per_target=per_target, total_queries=total)
+    return SolverReport(recovered=recovered, per_target=per_target)
 
 
 def solve_naive(oracle: Oracle, n: int, k: int, delta: float) -> SolverReport:
@@ -89,5 +89,4 @@ def solve_naive(oracle: Oracle, n: int, k: int, delta: float) -> SolverReport:
                 lo = mid + 1
         per_target.append((t, lo, oracle.query_count - before))
     recovered = sorted(v for _, v, _ in per_target)
-    total = sum(q for _, _, q in per_target)
-    return SolverReport(recovered=recovered, per_target=per_target, total_queries=total)
+    return SolverReport(recovered=recovered, per_target=per_target)

@@ -14,8 +14,10 @@ query interface: ``n``, ``k``, ``noise.rho``, ``query_count``,
 ``query_batch`` (m queries of one value, returned as the number of LEQ
 answers), ``query_rows`` (rows of such batches for a few values, drawn
 row after row: a walker's block of leaf-chain steps it is sure to take)
-and ``query``. ``Oracle.instance`` and the ground-truth helper
-``k_position_true`` are for the harness and tests only.
+and ``query``. Each answer is the next double of the oracle's generator,
+drawn in place in chunks of at most ``DRAW_BUFFER``, so the generator stands
+exactly ``query_count`` doubles past its seed. ``Oracle.instance`` and the
+ground-truth helper ``k_position_true`` are for the harness and tests only.
 """
 
 from __future__ import annotations
@@ -47,13 +49,12 @@ class Response(Enum):
 # A transcript is an ordered list of (queried value, response) pairs.
 Transcript = list[tuple[int, Response]]
 
-# an oracle draws its answers into one buffer of this many doubles (64 KiB),
-# refilled in place, so a small batch is a slice, not a generator call, and
-# an estimate's memory stays in cache whatever its query budget
-READ_AHEAD = 1 << 13
+# an oracle draws its answers in place into one buffer of this many doubles
+# (64 KiB), so an estimate's memory stays in cache whatever its query budget
+DRAW_BUFFER = 1 << 13
 
-# query_rows counts the whole segments in the buffer with one 2-D compare
-# when at least this many fit: the 2-D count costs about 3x per double what
+# query_rows draws and counts whole segments with one 2-D compare when at
+# least this many fit in the buffer: the 2-D count costs about 3x per double what
 # the 1-D count does, but saves a Python call per segment; measured on a
 # 2-core x86-64 box, the two meet near 1,700 doubles a segment
 ROWS_2D = 5
@@ -173,28 +174,19 @@ class Oracle:
         self._rng = np.random.Generator(np.random.PCG64(self.seed))
         self.query_count = 0
         self.n, self.k = self.instance.n, self.instance.k
-        # drawn doubles; those from _pos on are the next answers' draws
-        self._ahead = np.empty(READ_AHEAD)
-        self._pos = READ_AHEAD
+        # scratch for drawn doubles; nothing in it outlives a call
+        self._buf = np.empty(DRAW_BUFFER)
 
     def query_batch(self, y: int, m: int) -> int:
         """Perform m independent queries of y; returns the number of LEQ answers.
 
         The answers are the same stream as m calls of ``query(y)``. They are
-        counted from one buffer of READ_AHEAD drawn doubles, refilled in
-        place whenever it runs out, so the memory is O(READ_AHEAD) whatever
-        m is. y and m are checked before anything is counted; a bool is
-        not taken as an integer.
+        drawn in place into a buffer of DRAW_BUFFER doubles, a chunk at a
+        time, and counted, so the memory is O(DRAW_BUFFER) whatever m is.
+        y and m are checked before anything is drawn; a bool is not taken
+        as an integer.
         """
-        # inline, not a helper call: this runs once per batch on the hot path
-        if type(y) is bool or type(m) is bool:
-            raise TypeError(f"y and m must be integers, got {y!r}, {m!r}")
-        y, m = operator.index(y), operator.index(m)
-        if m < 0:
-            raise DomainError(f"m must be >= 0, got {m}")
-        if not (1 <= y <= self.n):
-            raise DomainError(f"y must be in [1, {self.n}], got {y}")
-        self.query_count += m
+        (y,), m, _ = self._charge([y], m, 1)
         return self._count(self._leq_probability(y), m)
 
     def query_rows(self, ys, m: int, rows: int) -> np.ndarray:
@@ -203,52 +195,53 @@ class Oracle:
         Returns the LEQ counts as an int64 array of shape (rows, len(ys)).
         The answers are the same stream as those query_batch calls made
         row after row, and ``rows * len(ys) * m`` queries are charged.
-        Every y, m and rows is checked before anything is counted; a bool
-        is not taken as an integer. The memory is O(READ_AHEAD + rows * len(ys)).
+        Every y, m and rows is checked before anything is drawn; a bool
+        is not taken as an integer. Where ROWS_2D batches fit in the buffer,
+        as many whole batches as fit are drawn and counted at a time. The
+        memory is O(DRAW_BUFFER + rows * len(ys)).
         """
-        ys = list(ys)
+        ys, m, rows = self._charge(list(ys), m, rows)
+        # segment i of the stream is m answers at probability ps[i]
+        ps = np.tile([self._leq_probability(y) for y in ys], rows)
+        if not 0 < m * ROWS_2D <= DRAW_BUFFER:
+            return np.array([self._count(p, m) for p in ps], dtype=np.int64).reshape(rows, len(ys))
+        counts = np.empty(len(ps), dtype=np.int64)
+        per_draw = DRAW_BUFFER // m
+        for i in range(0, len(ps), per_draw):
+            seg = ps[i:i + per_draw]
+            drawn = self._buf[:len(seg) * m]
+            self._rng.random(out=drawn)
+            counts[i:i + len(seg)] = (drawn.reshape(len(seg), m) < seg[:, None]).sum(axis=1)
+        return counts.reshape(rows, len(ys))
+
+    def _charge(self, ys: list, m: int, rows: int) -> tuple[list[int], int, int]:
+        """ys, m and rows as ints, once checked; then charges their queries.
+
+        A bool or float raises TypeError, a y outside [1, n] or a negative
+        m or rows DomainError, and a rejected call charges nothing."""
         if any(type(v) is bool for v in (*ys, m, rows)):
-            raise TypeError(f"ys, m and rows must be integers, got {ys!r}, {m!r}, {rows!r}")
+            raise TypeError(f"y, m and rows must be integers, got {ys!r}, {m!r}, {rows!r}")
         ys = [operator.index(y) for y in ys]
         m, rows = operator.index(m), operator.index(rows)
         if m < 0 or rows < 0:
             raise DomainError(f"m and rows must be >= 0, got {m}, {rows}")
         if not all(1 <= y <= self.n for y in ys):
-            raise DomainError(f"each y must be in [1, {self.n}], got {ys}")
+            raise DomainError(f"y must be in [1, {self.n}], got {ys}")
         self.query_count += rows * len(ys) * m
-        # segment i of the stream is m answers at probability ps[i]
-        ps = np.tile([self._leq_probability(y) for y in ys], rows)
-        counts = np.empty(len(ps), dtype=np.int64)
-        in_2d = 0 < m * ROWS_2D <= READ_AHEAD
-        i = 0
-        while i < len(ps):
-            pos = self._pos
-            # the whole segments left in the buffer, counted in one compare
-            fit = min(len(ps) - i, (READ_AHEAD - pos) // m) if in_2d else 0
-            if fit:
-                end = pos + fit * m
-                counts[i:i + fit] = (self._ahead[pos:end].reshape(fit, m)
-                                     < ps[i:i + fit, None]).sum(axis=1)
-                self._pos, i = end, i + fit
-            else:
-                # one segment, refilling the buffer where it runs out
-                counts[i] = self._count(ps[i], m)
-                i += 1
-        return counts.reshape(rows, len(ys))
+        return ys, m, rows
 
     def _leq_probability(self, y: int) -> float:
         return leq_probability(bisect_right(self.instance.items, y), self.k, self.noise.rho)
 
     def _count(self, p: float, m: int) -> int:
         """LEQ answers among the next m draws at probability p; uncharged."""
-        ahead, pos, x = self._ahead, self._pos, 0
-        while m > READ_AHEAD - pos:
-            x += int(np.count_nonzero(ahead[pos:] < p))
-            m -= READ_AHEAD - pos
-            self._rng.random(out=ahead)
-            pos = 0
-        self._pos = pos + m
-        return x + int(np.count_nonzero(ahead[pos:pos + m] < p))
+        x = 0
+        while m:
+            drawn = self._buf[:min(m, DRAW_BUFFER)]
+            self._rng.random(out=drawn)
+            x += int(np.count_nonzero(drawn < p))
+            m -= len(drawn)
+        return x
 
     def query(self, y: int) -> Response:
         return Response.LEQ if self.query_batch(y, 1) else Response.GT

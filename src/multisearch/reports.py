@@ -19,4 +19,8 @@ class SolverReport:
 
     recovered: list[int]
     per_target: list[tuple[int, Optional[int], int]]
-    total_queries: int
+
+    @property
+    def total_queries(self) -> int:
+        """The queries of ``per_target``, summed."""
+        return sum(q for _, _, q in self.per_target)

@@ -195,5 +195,4 @@ def solve_walker(oracle: Oracle, n: int, k: int, delta: float) -> SolverReport:
         value = find_tth(oracle, t, cfg)
         per_target.append((t, value, oracle.query_count - before))
     recovered = sorted(v for _, v, _ in per_target if v is not None)
-    total = sum(q for _, _, q in per_target)
-    return SolverReport(recovered=recovered, per_target=per_target, total_queries=total)
+    return SolverReport(recovered=recovered, per_target=per_target)

@@ -9,6 +9,7 @@ from typing import NamedTuple
 import pytest
 
 import multisearch.bench
+import multisearch.cli
 from multisearch.bench import (CSV_HEADER, SOLVERS, DataError, ExperimentConfig,
                                fit_scaling, run_experiment)
 from multisearch.cli import build_parser, main
@@ -214,6 +215,19 @@ def test_cli_scaling():
         proc = _cli("scaling", *args, "--trials", "2", "--seed", "3")
         assert proc.returncode == 0, proc.stderr
         assert "fitted slope" in proc.stdout
+
+
+def test_cli_scaling_n_values_need_their_own_log2(monkeypatch):
+    # an n sweep fits against ceil(log2 n): an n < 2, or two n sharing
+    # that x, is rejected before any trial, naming the values given
+    def no_trials(config):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(multisearch.cli, "run_experiment", no_trials)
+    for values in ("3,4,8,16", "5,6,7,8", "1,2,4,8", "0,4,8,16", "4,16,16,64"):
+        proc = _cli("scaling", "--k", "2", "--instance", "distinct", "--sweep", "n",
+                    f"--values={values}", "--trials", "3")
+        assert proc.returncode == 2 and values in proc.stderr, (values, proc.stderr)
 
 
 def test_cli_usage_error_exit_2(tmp_path):

@@ -8,9 +8,9 @@ import pytest
 
 from multisearch.analysis import binom_pmf
 from multisearch.kposition import estimate_k_position
-from multisearch.model import (READ_AHEAD, DomainError, Instance, NoiseModel,
-                               Oracle, Response, k_position_true, leq_probability,
-                               make_instance, sample_instance)
+from multisearch.model import (DRAW_BUFFER, ROWS_2D, DomainError, Instance,
+                               NoiseModel, Oracle, Response, k_position_true,
+                               leq_probability, make_instance, sample_instance)
 
 
 def test_make_instance_canonical():
@@ -149,8 +149,8 @@ def test_query_count_accounting():
 
 
 @pytest.mark.parametrize("rho", [1.0, 0.9])
-@pytest.mark.parametrize("m", [1, 2 * READ_AHEAD - 1, 2 * READ_AHEAD, 2 * READ_AHEAD + 1,
-                               6 * READ_AHEAD + 5])
+@pytest.mark.parametrize("m", [1, 2 * DRAW_BUFFER - 1, 2 * DRAW_BUFFER, 2 * DRAW_BUFFER + 1,
+                               6 * DRAW_BUFFER + 5])
 def test_query_batch_is_the_query_stream(rho, m):
     # counting through the refilled buffer reads the same answers as m single queries
     inst = make_instance(16, 2, [3, 10])
@@ -185,8 +185,8 @@ def test_query_batch_reads_the_reference_stream(rho):
     # buffer's refills, counts the answers of one unbuffered draw of the
     # seed's doubles, in order, none skipped or repeated
     inst = make_instance(16, 2, [3, 10])
-    sizes = [0, 1, READ_AHEAD - 1, READ_AHEAD, READ_AHEAD + 1, 3200, 2 * READ_AHEAD + 1,
-             6 * READ_AHEAD + 5]
+    sizes = [0, 1, DRAW_BUFFER - 1, DRAW_BUFFER, DRAW_BUFFER + 1, 3200, 2 * DRAW_BUFFER + 1,
+             6 * DRAW_BUFFER + 5]
     calls = []  # (y, m) is query_batch(y, m); (y, None) is query(y)
     for i, m in enumerate(sizes + sizes[::-1]):
         y = [8, 4, 2, 16][i % 4]
@@ -212,8 +212,33 @@ def test_query_batch_reads_the_reference_stream(rho):
     assert pos == total
 
 
+def test_oracle_draws_only_the_answers_it_counts():
+    # each answer is one double of the generator, so after any sequence of
+    # calls, rejected ones included, the generator stands exactly
+    # query_count doubles past its seed: nothing is drawn ahead
+    inst = make_instance(16, 2, [3, 10])
+    o = Oracle(inst, NoiseModel(0.9), seed=21)
+    calls = [lambda: o.query_batch(8, 0), lambda: o.query_rows([4, 12], 512, 0),
+             lambda: o.query_batch(4, 100), lambda: o.query(12),
+             # 5 batches of 1,638 fit the buffer, 5 of 1,639 do not
+             lambda: o.query_rows([8], DRAW_BUFFER // ROWS_2D, 11),
+             lambda: o.query_rows([4, 12], DRAW_BUFFER // ROWS_2D + 1, 3),
+             lambda: o.query_batch(8, 2 * DRAW_BUFFER + 3),
+             lambda: o.query_rows([2], 3000, 4), lambda: o.query_rows([2, 16], 7, 40)]
+    for call in calls:
+        call()
+        ref = np.random.PCG64(21)
+        ref.advance(o.query_count)
+        assert o._rng.bit_generator.state == ref.state, o.query_count
+    with pytest.raises(DomainError):
+        o.query_rows([8, 17], 100, 2)
+    ref = np.random.PCG64(21)
+    ref.advance(o.query_count)
+    assert o._rng.bit_generator.state == ref.state
+
+
 def test_oracle_memory_is_bounded():
-    # an oracle keeps at most READ_AHEAD drawn doubles between calls,
+    # an oracle keeps at most DRAW_BUFFER drawn doubles between calls,
     # whatever batches it has served
     o = Oracle(make_instance(16, 2, [3, 10]), NoiseModel(0.9), seed=0)
     tracemalloc.start()
@@ -222,7 +247,7 @@ def test_oracle_memory_is_bounded():
         for m in (1, 512, 2**20):
             o.query_batch(8, m)
             current, _ = tracemalloc.get_traced_memory()
-            assert current - base <= 8 * READ_AHEAD + 4096, (m, current - base)
+            assert current - base <= 8 * DRAW_BUFFER + 4096, (m, current - base)
     finally:
         tracemalloc.stop()
 
@@ -237,13 +262,13 @@ def test_query_batch_allocates_no_drawn_doubles():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= READ_AHEAD + 4096, peak
+    assert peak <= DRAW_BUFFER + 4096, peak
 
 
 @pytest.mark.parametrize("rho", [1.0, 0.75])
 @pytest.mark.parametrize("ys", [[8], [4, 12]], ids=["one_y", "two_ys"])
-@pytest.mark.parametrize("m", [1, 512, 3200, READ_AHEAD - 1, READ_AHEAD + 1,
-                               2 * READ_AHEAD + 1])
+@pytest.mark.parametrize("m", [1, 512, 3200, DRAW_BUFFER - 1, DRAW_BUFFER + 1,
+                               2 * DRAW_BUFFER + 1])
 def test_query_rows_is_the_query_stream(rho, ys, m):
     # rows of counts are the query_batch calls they stand for, made row
     # after row; successive calls start at other points of the buffer
@@ -271,7 +296,7 @@ def test_query_rows_allocates_no_drawn_doubles():
     # like a batch, a block of rows counts in the oracle's own buffer: its
     # peak is one boolean compare mask of the buffer, numpy's cast buffer
     # of the 2-D row sums and O(rows) counts, whatever m is
-    bound = READ_AHEAD + 8 * np.getbufsize() + 4096
+    bound = DRAW_BUFFER + 8 * np.getbufsize() + 4096
     peaks = {}
     for m in (1, 512, 1024, 3200, 2**16, 2**20):
         o = Oracle(make_instance(16, 2, [3, 10]), NoiseModel(0.9), seed=0)
