@@ -22,8 +22,8 @@ from collections import Counter
 from itertools import combinations_with_replacement
 
 from .kposition import estimate_from_counts
-from .model import (CapacityError, DomainError, Response, Transcript,
-                    leq_probability)
+from .model import (CapacityError, DomainError, NoiseModel, Response, Transcript,
+                    check_n_k, leq_probability)
 
 _NEG_INF = float("-inf")
 
@@ -74,13 +74,14 @@ def estimator_success_prob(k: int, m: int, k_true: int, rho: float = 1.0) -> flo
     Sums the binomial law of the LEQ count over exactly those counts the
     shared rounding pipeline maps back to k_true.
     """
-    if m < 1:
-        raise DomainError(f"m must be >= 1, got {m}")
+    if m < 1 or k < 1:
+        raise DomainError(f"m and k must be >= 1, got m={m}, k={k}")
+    NoiseModel(rho)  # DomainError unless rho is in (1/2, 1]
     if not (0 <= k_true <= k):
         raise DomainError(f"k_true must be in [0, {k}], got {k_true}")
     p = leq_probability(k_true, k, rho)
     return math.fsum(binom_pmf(x, m, p) for x in range(m + 1)
-                     if estimate_from_counts(x, m, k, rho)[0] == k_true)
+                     if estimate_from_counts(x, m, k, rho) == k_true)
 
 
 def ml_decode(transcript: Transcript, n: int, k: int, rho: float = 1.0) -> tuple[int, ...]:
@@ -89,6 +90,8 @@ def ml_decode(transcript: Transcript, n: int, k: int, rho: float = 1.0) -> tuple
     Enumerates all C(n+k-1, k) multisets; ties break to the
     lexicographically smallest sorted tuple. Guarded to desk scale.
     """
+    check_n_k(n, k)
+    NoiseModel(rho)  # DomainError unless rho is in (1/2, 1]
     n_candidates = math.comb(n + k - 1, k)
     if n_candidates > ML_DECODE_MAX_CANDIDATES:
         raise CapacityError(

@@ -152,10 +152,10 @@ def fit_scaling(points) -> float:
     """Least-squares slope of log2(median queries per x) against log2(x)."""
     groups = defaultdict(list)
     for x, q in points:
-        if x <= 0:
-            raise DomainError(f"x values must be positive, got {x}")
-        if q <= 0:
-            raise DomainError(f"query counts must be positive, got {q}")
+        if not 0 < x < np.inf:  # NaN fails too
+            raise DomainError(f"x values must be positive and finite, got {x}")
+        if not 0 < q < np.inf:
+            raise DomainError(f"query counts must be positive and finite, got {q}")
         groups[float(x)].append(q)
     if len(groups) < 3:
         raise DomainError(f"need >= 3 distinct x values, got {len(groups)}")

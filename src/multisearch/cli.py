@@ -103,22 +103,18 @@ def _cmd_scaling(args) -> int:
         values = [int(v) for v in args.values.split(",") if v.strip()]
     except ValueError as exc:
         raise DomainError(f"bad --values list: {exc}") from exc
-    # an n sweep's x is ceil(log2 n): each n needs a positive x of its own
-    if args.sweep == "n" and len({ceil_log2(n) for n in values if n >= 2}) < len(values):
-        raise DomainError(f"--sweep n needs n >= 2 with distinct ceil(log2 n), got {args.values}")
-    points = []
-    for value in values:
-        config = _config_from_args(args, trials=args.trials)
-        if args.sweep == "k":
-            config.k = value
-            x = value
-        else:
-            config.n = value
-            x = ceil_log2(value)
-        result = run_experiment(config)
-        points.extend((x, q) for q in result.queries)
-    slope = fit_scaling(points)
+    # the fit's x is k, or ceil(log2 n): each value needs a positive x of its own
     label = "k" if args.sweep == "k" else "log2(n)"
+    xs = values if args.sweep == "k" else [ceil_log2(n) if n >= 1 else 0 for n in values]
+    if len(xs) < 3 or min(xs) < 1 or len(set(xs)) < len(xs):
+        raise DomainError(f"--values needs >= 3 values with distinct positive "
+                          f"ceil({label}), got {args.values}")
+    points = []
+    for value, x in zip(values, xs):
+        config = _config_from_args(args, trials=args.trials)
+        setattr(config, args.sweep, value)
+        points.extend((x, q) for q in run_experiment(config).queries)
+    slope = fit_scaling(points)
     print(f"fitted slope of log2(median queries) vs log2({label}): {slope:.4f}")
     return EXIT_OK
 

@@ -1,7 +1,7 @@
 """Dense and naive solvers.
 
 ``solve_dense`` is the k >= n approach: estimate the k-position of every
-value in [1, n-1] at per-point confidence n^-(c+1), repair the profile to
+value in [1, n] at per-point confidence n^-(c+1), repair the profile to
 be monotone, and read the t-th smallest element off as the least y with
 K_y >= t. ``solve_naive`` is the repeated-binary-search baseline whose
 extra log(2 k log n) factor the walker removes; it is kept for benchmark
@@ -48,13 +48,9 @@ def solve_dense(oracle: Oracle, n: int, k: int, c: float = 1.0) -> SolverReport:
     if not c > 0:
         raise DomainError(f"c must be positive, got {c}")
     before = oracle.query_count
-    estimates = []
-    if n >= 2:
-        # per-point delta n^-(c+1), passed as its exponent: it can underflow
-        m_pt = _queries_for_exponent(k, (c + 1.0) * math.log2(n), oracle.noise.rho)
-        for y in range(1, n):
-            estimates.append(estimate_k_position(oracle, y, m_pt).k_pos)
-    estimates.append(k)  # y = n is forced, no queries spent
+    # per-point delta n^-(c+1), passed as its exponent: it can underflow
+    m_pt = _queries_for_exponent(k, (c + 1.0) * math.log2(n), oracle.noise.rho)
+    estimates = [estimate_k_position(oracle, y, m_pt).k_pos for y in range(1, n + 1)]
     recovered = multiset_from_profile(repair_monotone(estimates))
     total = oracle.query_count - before
     per_target = [(t, v, q)

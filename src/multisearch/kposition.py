@@ -7,7 +7,9 @@ of queries by rounding the empirical LEQ fraction to the nearest multiple
 of 1/k. ``queries_for_confidence`` gives the sample budget for a target
 failure probability; with comparison noise the budget scales by
 (2*rho - 1)^-2 and the raw fraction is de-biased through the exact
-inverse of ``leq_probability`` before rounding.
+inverse of ``leq_probability`` before rounding. An estimate is its
+k-position alone. ``estimate_k_position`` states the forced ends y = 0 and
+y = n; the oracle range-checks every other y.
 """
 
 from __future__ import annotations
@@ -22,11 +24,9 @@ from .model import DomainError, Oracle
 
 @dataclass(frozen=True)
 class KPosEstimate:
-    """An estimated k-position with its query cost and raw LEQ fraction."""
+    """An estimated k-position, kept a record: the benchmark's tracer reads ``.k_pos``."""
 
     k_pos: int
-    m_used: int
-    p_hat: float
 
 
 def queries_for_confidence(k: int, delta: float, rho: float = 1.0) -> int:
@@ -63,18 +63,15 @@ def round_to_grid(p: float, k: int) -> int:
     return min(max(i, 0), k)
 
 
-def estimate_from_counts(x: int, m: int, k: int, rho: float = 1.0) -> tuple[int, float, float]:
-    """Map a LEQ count out of m queries to (k_pos, p_hat, p_corrected).
+def estimate_from_counts(x: int, m: int, k: int, rho: float = 1.0) -> int:
+    """The k-position read off x LEQ answers out of m queries.
 
-    This is the single rounding pipeline shared by the live estimator and
-    the exact success-probability oracle in ``analysis``, so the two can
-    never disagree.
+    The de-biased fraction is rounded to the 1/k grid, whose clamp takes a
+    fraction outside [0, 1] to 0 or k. This single rounding pipeline is
+    shared by the live estimator and the exact success-probability oracle
+    in ``analysis``, so the two can never disagree.
     """
-    p_hat = x / m
-    denom = 2.0 * rho - 1.0
-    p_corr = (p_hat - (1.0 - rho)) / denom
-    p_corr = min(max(p_corr, 0.0), 1.0)
-    return round_to_grid(p_corr, k), p_hat, p_corr
+    return round_to_grid((x / m - (1.0 - rho)) / (2.0 * rho - 1.0), k)
 
 
 def count_threshold(t: int, m: int, k: int, rho: float = 1.0) -> int:
@@ -87,27 +84,25 @@ def count_threshold(t: int, m: int, k: int, rho: float = 1.0) -> int:
     """
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
-    return bisect_left(range(m + 1), t, key=lambda x: estimate_from_counts(x, m, k, rho)[0])
+    return bisect_left(range(m + 1), t, key=lambda x: estimate_from_counts(x, m, k, rho))
 
 
 def estimate_k_position(oracle: Oracle, y: int, m: int) -> KPosEstimate:
     """Estimate the k-position of y with m queries.
 
     y = 0 and y = n are analytically forced (0 and k) and cost zero
-    queries. y and m must be integers, checked before the forced ends.
+    queries. Only what they need is checked here: a bool or float y or m
+    raises TypeError, m < 1 DomainError. Any other y goes to
+    ``Oracle.query_batch``, which rejects one outside [1, n] uncharged.
     """
     if type(y) is bool or type(m) is bool:
         raise TypeError(f"y and m must be integers, got {y!r}, {m!r}")
     y, m = operator.index(y), operator.index(m)
-    n, k = oracle.n, oracle.k
-    if not (0 <= y <= n):
-        raise DomainError(f"y must be in [0, {n}], got {y}")
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
     if y == 0:
-        return KPosEstimate(k_pos=0, m_used=0, p_hat=0.0)
-    if y == n:
-        return KPosEstimate(k_pos=k, m_used=0, p_hat=1.0)
+        return KPosEstimate(0)
+    if y == oracle.n:
+        return KPosEstimate(oracle.k)
     x = oracle.query_batch(y, m)
-    k_pos, p_hat, _ = estimate_from_counts(x, m, k, oracle.noise.rho)
-    return KPosEstimate(k_pos=k_pos, m_used=m, p_hat=p_hat)
+    return KPosEstimate(estimate_from_counts(x, m, oracle.k, oracle.noise.rho))

@@ -32,6 +32,7 @@ exp(-m/35).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -60,11 +61,18 @@ class WalkNode:
 
 @dataclass(frozen=True)
 class WalkConfig:
-    """Walk length plus per-step query budgets."""
+    """Walk length m >= 0 plus per-step query budgets >= 1, all integers."""
 
     m: int
     step1_m: int
     step2_m: int
+
+    def __post_init__(self):
+        if any(type(v) is bool for v in (self.m, self.step1_m, self.step2_m)):
+            raise TypeError(f"walk length and budgets must be integers, got {self}")
+        m, step1_m, step2_m = map(operator.index, (self.m, self.step1_m, self.step2_m))
+        if m < 0 or min(step1_m, step2_m) < 1:
+            raise DomainError(f"need m >= 0 and step budgets >= 1, got {self}")
 
     @classmethod
     def for_problem(cls, n: int, k: int, delta: float, rho: float = 1.0) -> "WalkConfig":
@@ -86,9 +94,10 @@ def choose_walk_length(n: int, delta: float) -> int:
     """Walk length 70*ceil(log2 n), or 70*ceil(log2(1/delta)) when delta < 1/n."""
     if not (0.0 < delta < 1.0):
         raise DomainError(f"delta must be in (0, 1), got {delta}")
+    bits = max(1, ceil_log2(n))  # DomainError for n < 1
     # 1 / n is correctly rounded for any int n (no float(n) overflow)
     if delta >= 1 / n:
-        return 70 * max(1, ceil_log2(n))
+        return 70 * bits
     return 70 * max(1, math.ceil(-math.log2(delta)))
 
 

@@ -88,7 +88,7 @@ def test_success_prob_frozen_values():
 
     # k=2, m=32, K=1: pipeline succeeds exactly when 9 <= x <= 24
     # (x=24 gives p_hat=0.75, a grid tie broken down to k_pos=1)
-    good = [x for x in range(33) if estimate_from_counts(x, 32, 2)[0] == 1]
+    good = [x for x in range(33) if estimate_from_counts(x, 32, 2) == 1]
     assert good == list(range(9, 25))
     expected = binom.pmf(good, 32, 0.5).sum()
     assert estimator_success_prob(2, 32, 1) == pytest.approx(expected)
@@ -104,7 +104,7 @@ def test_success_prob_distribution_sums_to_one():
         total = 0.0
         for est in range(k + 1):
             xs = [x for x in range(m + 1)
-                  if estimate_from_counts(x, m, k, rho)[0] == est]
+                  if estimate_from_counts(x, m, k, rho) == est]
             total += binom.pmf(xs, m, p).sum()
         assert total == pytest.approx(1.0, abs=1e-12)
 

@@ -230,6 +230,21 @@ def test_cli_scaling_n_values_need_their_own_log2(monkeypatch):
         assert proc.returncode == 2 and values in proc.stderr, (values, proc.stderr)
 
 
+def test_cli_scaling_values_checked_before_any_trial(monkeypatch):
+    # either sweep's fitted x values are found first: fewer than three
+    # values, or two sharing an x, exit 2 naming --values before any trial
+    def no_trials(config):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(multisearch.cli, "run_experiment", no_trials)
+    for sweep, values in (("k", "2,2,4"), ("k", "3,3,3"), ("k", "2,4"), ("k", "0,1,2"),
+                          ("n", "4,8")):
+        proc = _cli("scaling", "--n", "64", "--k", "2", "--sweep", sweep,
+                    f"--values={values}", "--trials", "2")
+        assert proc.returncode == 2, (sweep, values, proc.stderr)
+        assert "--values" in proc.stderr and values in proc.stderr, proc.stderr
+
+
 def test_cli_usage_error_exit_2(tmp_path):
     assert _cli("bench", "--n", "16", "--k", "2", "--algo", "bogus").returncode == 2
     assert _cli("bench", "--k", "2").returncode == 2  # missing --n

@@ -1,5 +1,5 @@
 """Boundaries of the package: what the solvers may see, what the CLI imports,
-and the names the benchmark's tracer wraps."""
+the names the benchmark's tracer wraps, and the domains of public functions."""
 
 import importlib
 import subprocess
@@ -9,9 +9,11 @@ from pathlib import Path
 import pytest
 
 from multisearch import dense, model, walker
+from multisearch.analysis import estimator_success_prob, ml_decode
+from multisearch.bench import fit_scaling
 from multisearch.dense import solve_dense, solve_naive
-from multisearch.model import NoiseModel, Oracle, make_instance
-from multisearch.walker import solve_walker
+from multisearch.model import DomainError, NoiseModel, Oracle, Response, make_instance
+from multisearch.walker import WalkConfig, choose_walk_length, solve_walker
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -95,3 +97,28 @@ def test_perfbench_tracer_wraps_the_package(monkeypatch):
     assert tracer.counts["queries"] + sum(rows_queries) == \
         dense_oracle.query_count + walker_oracle.query_count > 0
     assert sum(rows_queries) > 0
+
+
+def test_perfbench_selftest_passes():
+    # the benchmark runs the package as it stands: a change that breaks it,
+    # such as an estimate without .k_pos, must fail here and not only there
+    proc = subprocess.run([sys.executable, "-B", "perfbench/selftest.py"],
+                          cwd=PERFBENCH.parent, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "selftest passed" in proc.stdout
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda: choose_walk_length(0, 0.1), "got 0"),
+    (lambda: WalkConfig.for_problem(0, 2, 0.1), "got 0"),
+    (lambda: estimator_success_prob(0, 4, 0), "k=0"),
+    (lambda: estimator_success_prob(2, 4, 1, rho=0.5), "got 0.5"),
+    (lambda: ml_decode([(1, Response.LEQ)], 3, 0), "k=0"),
+    (lambda: ml_decode([], 0, 1), "n=0"),
+    (lambda: ml_decode([(1, Response.LEQ)], 2, 1, rho=1.5), "got 1.5"),
+    (lambda: fit_scaling([(1, 1), (2, 2), (float("nan"), 3)]), "got nan"),
+], ids=["walk_length-n=0", "for_problem-n=0", "success_prob-k=0", "success_prob-rho=0.5",
+        "ml_decode-k=0", "ml_decode-n=0", "ml_decode-rho=1.5", "fit_scaling-x=nan"])
+def test_out_of_domain_arguments_raise_domain_error(call, named):
+    with pytest.raises(DomainError, match=named):
+        call()

@@ -43,15 +43,13 @@ def test_boundary_shortcuts_cost_nothing():
     o = Oracle(make_instance(16, 2, [3, 10]), seed=0)
     lo = estimate_k_position(o, 0, 32)
     hi = estimate_k_position(o, 16, 32)
-    assert (lo.k_pos, lo.m_used) == (0, 0)
-    assert (hi.k_pos, hi.m_used) == (2, 0)
+    assert (lo.k_pos, hi.k_pos) == (0, 2)
     assert o.query_count == 0
 
 
 def test_m_used_exact_interior():
     o = Oracle(make_instance(16, 2, [3, 10]), seed=0)
-    est = estimate_k_position(o, 8, 32)
-    assert est.m_used == 32
+    estimate_k_position(o, 8, 32)
     assert o.query_count == 32
 
 
@@ -74,11 +72,12 @@ def test_lemma_guarantee_exact_grid():
 
 
 def test_denoising_pipeline():
-    # de-biasing inverts the flip channel exactly
-    k_pos, p_hat, p_corr = estimate_from_counts(24, 32, 2, rho=0.75)
-    assert p_hat == 0.75
-    assert p_corr == pytest.approx(1.0)
-    assert k_pos == 2
+    # de-biasing inverts the flip channel exactly: at rho = 0.75 the LEQ
+    # fractions 1/4, 1/2, 3/4 are k-positions 0, 1, 2, and the ties between
+    # them (x = 12 and 20 of 32) fall to the smaller index; without the
+    # de-bias all four counts would round to 1
+    assert estimate_from_counts(24, 32, 2, rho=0.75) == 2
+    assert [estimate_from_counts(x, 32, 2, rho=0.75) for x in (12, 13, 20, 21)] == [0, 1, 1, 2]
 
 
 def test_count_threshold_exhaustive():
@@ -87,7 +86,7 @@ def test_count_threshold_exhaustive():
     for rho in (1.0, 0.9, 0.6):
         for k in range(1, 10):
             for m in range(1, 65):
-                ests = [estimate_from_counts(x, m, k, rho)[0] for x in range(m + 1)]
+                ests = [estimate_from_counts(x, m, k, rho) for x in range(m + 1)]
                 for t in range(1, k + 1):
                     x_t = count_threshold(t, m, k, rho)
                     assert 0 <= x_t <= m + 1
@@ -116,3 +115,4 @@ def test_rejects_bad_y_and_m():
         estimate_k_position(o, 17, 4)
     with pytest.raises(DomainError):
         estimate_k_position(o, 8, 0)
+    assert o.query_count == 0

@@ -22,6 +22,19 @@ def test_walk_length_rejects_bad_delta():
         choose_walk_length(16, 0.0)
 
 
+def test_walk_config_rejects_a_walk_it_cannot_take():
+    # a negative m bounded nothing: the walk ran on until it reached a leaf chain
+    for fields, error in [((-1, 3, 3), DomainError), ((2.5, 3, 3), TypeError),
+                          ((True, 3, 3), TypeError), ((4, 0, 3), DomainError),
+                          ((4, 3, 0), DomainError)]:
+        with pytest.raises(error):
+            WalkConfig(*fields)
+    # an empty walk stays legal: it takes no step and asks nothing
+    o = Oracle(make_instance(16, 2, [3, 10]), seed=0)
+    assert find_tth(o, 1, WalkConfig(m=0, step1_m=3, step2_m=3)) is None
+    assert o.query_count == 0
+
+
 def test_children_and_midpoint():
     left, right = children(WalkNode(1, 16))
     assert midpoint(WalkNode(1, 16)) == 8
