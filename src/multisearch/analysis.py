@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import Counter
 from itertools import combinations_with_replacement
 
-from .kposition import estimate_from_counts
+from .kposition import _check_domain, estimate_from_counts
 from .model import (CapacityError, DomainError, NoiseModel, Response, Transcript,
                     check_n_k, leq_probability)
 
@@ -74,9 +73,7 @@ def estimator_success_prob(k: int, m: int, k_true: int, rho: float = 1.0) -> flo
     Sums the binomial law of the LEQ count over exactly those counts the
     shared rounding pipeline maps back to k_true.
     """
-    if m < 1 or k < 1:
-        raise DomainError(f"m and k must be >= 1, got m={m}, k={k}")
-    NoiseModel(rho)  # DomainError unless rho is in (1/2, 1]
+    _check_domain(k, rho, m)
     if not (0 <= k_true <= k):
         raise DomainError(f"k_true must be in [0, {k}], got {k_true}")
     p = leq_probability(k_true, k, rho)
@@ -97,16 +94,14 @@ def ml_decode(transcript: Transcript, n: int, k: int, rho: float = 1.0) -> tuple
         raise CapacityError(
             f"{n_candidates} candidate multisets exceed the "
             f"{ML_DECODE_MAX_CANDIDATES} enumeration guard")
-    counts = Counter()
+    # likelihood depends only on per-y (LEQ, GT) response counts
+    per_y: dict[int, list[int]] = {}
     for y, resp in transcript:
         if not (1 <= y <= n):
             raise DomainError(f"transcript value {y} outside [1, {n}]")
-        counts[(y, resp is Response.LEQ)] += 1
-    # likelihood depends only on per-y response counts
-    per_y: dict[int, tuple[int, int]] = {}
-    for (y, is_leq), c in counts.items():
-        cl, cg = per_y.get(y, (0, 0))
-        per_y[y] = (cl + c, cg) if is_leq else (cl, cg + c)
+        if not isinstance(resp, Response):
+            raise DomainError(f"transcript answer {resp!r} is not a Response")
+        per_y.setdefault(y, [0, 0])[resp is Response.GT] += 1
 
     best = None
     best_ll = _NEG_INF

@@ -3,15 +3,16 @@
 ``solve_dense`` is the k >= n approach: estimate the k-position of every
 value in [1, n] at per-point confidence n^-(c+1), repair the profile to
 be monotone, and read the t-th smallest element off as the least y with
-K_y >= t. ``solve_naive`` is the repeated-binary-search baseline whose
-extra log(2 k log n) factor the walker removes; it is kept for benchmark
-comparison.
+K_y >= t; t = 1 reads the whole profile and is charged all its queries.
+``solve_naive`` is the repeated-binary-search baseline whose extra
+log(2 k log n) factor the walker removes; kept for benchmark comparison.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from itertools import accumulate
 
 from .kposition import _queries_for_exponent, estimate_k_position
 from .model import DomainError, Oracle, check_oracle_shape
@@ -21,12 +22,7 @@ from .walker import ceil_log2
 
 def repair_monotone(values: list[int]) -> list[int]:
     """Running maximum: the cheapest monotone repair, identity on monotone input."""
-    out = []
-    cur = 0
-    for v in values:
-        cur = max(cur, v)
-        out.append(cur)
-    return out
+    return list(accumulate(values, max))
 
 
 def multiset_from_profile(profile: list[int]) -> list[int]:
@@ -35,27 +31,19 @@ def multiset_from_profile(profile: list[int]) -> list[int]:
     return [bisect_left(profile, t) + 1 for t in range(1, profile[-1] + 1)]
 
 
-def _split_even(total: int, k: int) -> list[int]:
-    # dense queries are not per-target; split evenly so that their sum, the
-    # report's total_queries, is the oracle's count
-    base, rem = divmod(total, k)
-    return [base + (1 if i < rem else 0) for i in range(k)]
-
-
 def solve_dense(oracle: Oracle, n: int, k: int, c: float = 1.0) -> SolverReport:
     """Recover the multiset from a full k-position profile over [1, n]."""
     check_oracle_shape(oracle, n, k)
     if not c > 0:
         raise DomainError(f"c must be positive, got {c}")
-    before = oracle.query_count
     # per-point delta n^-(c+1), passed as its exponent: it can underflow
     m_pt = _queries_for_exponent(k, (c + 1.0) * math.log2(n), oracle.noise.rho)
-    estimates = [estimate_k_position(oracle, y, m_pt).k_pos for y in range(1, n + 1)]
-    recovered = multiset_from_profile(repair_monotone(estimates))
-    total = oracle.query_count - before
-    per_target = [(t, v, q)
-                  for (t, v), q in zip(enumerate(recovered, start=1), _split_even(total, k))]
-    return SolverReport(recovered=recovered, per_target=per_target)
+
+    def values():
+        estimates = [estimate_k_position(oracle, y, m_pt).k_pos for y in range(1, n + 1)]
+        yield from multiset_from_profile(repair_monotone(estimates))
+
+    return SolverReport.of_values(oracle, values())
 
 
 def solve_naive(oracle: Oracle, n: int, k: int, delta: float) -> SolverReport:
@@ -73,16 +61,17 @@ def solve_naive(oracle: Oracle, n: int, k: int, delta: float) -> SolverReport:
     # per-probe delta / (k * bits), passed as its exponent: it can underflow
     m_per = _queries_for_exponent(k, math.log2(k * bits) - math.log2(delta),
                                   oracle.noise.rho)
-    per_target = []
-    for t in range(1, k + 1):
-        before = oracle.query_count
-        lo, hi = 1, n
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if estimate_k_position(oracle, mid, m_per).k_pos >= t:
-                hi = mid
-            else:
-                lo = mid + 1
-        per_target.append((t, lo, oracle.query_count - before))
-    recovered = sorted(v for _, v, _ in per_target)
-    return SolverReport(recovered=recovered, per_target=per_target)
+
+    def values():
+        # explicit bisection: C bisect takes Py_ssize_t bounds, and n may not fit
+        for t in range(1, k + 1):
+            lo, hi = 1, n
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if estimate_k_position(oracle, mid, m_per).k_pos >= t:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            yield lo
+
+    return SolverReport.of_values(oracle, values())

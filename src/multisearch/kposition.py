@@ -29,18 +29,25 @@ class KPosEstimate:
     k_pos: int
 
 
+def _check_domain(k: int, rho: float, m: int = 1) -> None:
+    """TypeError for a bool or float k or m, DomainError off k, m >= 1, 1/2 < rho <= 1."""
+    if type(k) is bool or type(m) is bool:
+        raise TypeError(f"k and m must be integers, got k={k!r}, m={m!r}")
+    if operator.index(k) < 1 or operator.index(m) < 1:
+        raise DomainError(f"k and m must be >= 1, got k={k}, m={m}")
+    if not 0.5 < rho <= 1.0:
+        raise DomainError(f"rho must be in (1/2, 1], got {rho}")
+
+
 def queries_for_confidence(k: int, delta: float, rho: float = 1.0) -> int:
     """Sample budget m = ceil(2 k^2 log2(2/delta) / (2 rho - 1)^2).
 
     Guarantees failure probability <= delta for a single k-position
     estimate (Hoeffding, half-grid-spacing accuracy).
     """
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
+    _check_domain(k, rho)
     if not (0.0 < delta < 1.0):
         raise DomainError(f"delta must be in (0, 1), got {delta}")
-    if not (0.5 < rho <= 1.0):
-        raise DomainError(f"rho must be in (1/2, 1], got {rho}")
     return _queries_for_exponent(k, -math.log2(delta), rho)
 
 
@@ -71,6 +78,7 @@ def estimate_from_counts(x: int, m: int, k: int, rho: float = 1.0) -> int:
     shared by the live estimator and the exact success-probability oracle
     in ``analysis``, so the two can never disagree.
     """
+    _check_domain(k, rho, m)
     return round_to_grid((x / m - (1.0 - rho)) / (2.0 * rho - 1.0), k)
 
 
@@ -82,8 +90,7 @@ def count_threshold(t: int, m: int, k: int, rho: float = 1.0) -> int:
     The threshold is found by bisection on ``estimate_from_counts``, so
     the rounding is still stated only there.
     """
-    if m < 1:
-        raise DomainError(f"m must be >= 1, got {m}")
+    _check_domain(k, rho, m)
     return bisect_left(range(m + 1), t, key=lambda x: estimate_from_counts(x, m, k, rho))
 
 
@@ -95,11 +102,10 @@ def estimate_k_position(oracle: Oracle, y: int, m: int) -> KPosEstimate:
     raises TypeError, m < 1 DomainError. Any other y goes to
     ``Oracle.query_batch``, which rejects one outside [1, n] uncharged.
     """
-    if type(y) is bool or type(m) is bool:
-        raise TypeError(f"y and m must be integers, got {y!r}, {m!r}")
-    y, m = operator.index(y), operator.index(m)
-    if m < 1:
-        raise DomainError(f"m must be >= 1, got {m}")
+    if type(y) is bool:
+        raise TypeError(f"y must be an integer, got {y!r}")
+    y = operator.index(y)
+    _check_domain(oracle.k, oracle.noise.rho, m)
     if y == 0:
         return KPosEstimate(0)
     if y == oracle.n:

@@ -248,8 +248,10 @@ class Oracle:
 
 
 def check_oracle_shape(oracle: Oracle, n: int, k: int) -> None:
-    """Raise DomainError unless a solver's (n, k) is the oracle's own."""
-    if (n, k) != (oracle.n, oracle.k):
+    """TypeError unless a solver's n and k are ints, DomainError unless the oracle's."""
+    if type(n) is bool or type(k) is bool:
+        raise TypeError(f"n and k must be integers, got {n!r}, {k!r}")
+    if (operator.index(n), operator.index(k)) != (oracle.n, oracle.k):
         raise DomainError(f"(n, k) = ({n}, {k}) disagrees with the oracle's "
                           f"({oracle.n}, {oracle.k})")
 

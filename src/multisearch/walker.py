@@ -160,7 +160,9 @@ def find_tth(oracle: Oracle, t: int, cfg: WalkConfig) -> Optional[int]:
     """Walk cfg.m steps from the root, or until the value is decided;
     return the leaf value, or None on failure."""
     n, k = oracle.n, oracle.k
-    if not (1 <= t <= k):
+    if type(t) is bool:
+        raise TypeError(f"t must be an integer, got {t!r}")
+    if not (1 <= operator.index(t) <= k):
         raise DomainError(f"t must be in [1, {k}], got {t}")
     # on a chain node [a, a] walk_step's checks ka <= t - 1 and kb >= t
     # are x_a < x_t and x_b >= x_t, drawn in that order; a forced end
@@ -198,10 +200,4 @@ def solve_walker(oracle: Oracle, n: int, k: int, delta: float) -> SolverReport:
     """
     check_oracle_shape(oracle, n, k)
     cfg = WalkConfig.for_problem(n, k, delta, oracle.noise.rho)
-    per_target = []
-    for t in range(1, k + 1):
-        before = oracle.query_count
-        value = find_tth(oracle, t, cfg)
-        per_target.append((t, value, oracle.query_count - before))
-    recovered = sorted(v for _, v, _ in per_target if v is not None)
-    return SolverReport(recovered=recovered, per_target=per_target)
+    return SolverReport.of_values(oracle, (find_tth(oracle, t, cfg) for t in range(1, k + 1)))

@@ -116,6 +116,17 @@ def test_c07_dense_solver():
             f"success {hits}/400, per-run budget {budget}")
 
 
+def test_c13_dense_k_squared_scaling():
+    # k >= n: solve_dense's budget grows as k^2 at fixed n
+    points = []
+    for k in (8, 16, 32, 64):
+        cfg = ExperimentConfig(n=8, k=k, algo="dense", instance="uniform",
+                               trials=1, master_seed=1313)
+        points.extend((k, q) for q in run_experiment(cfg).queries)
+    slope = fit_scaling(points)
+    _report("C13 dense k^2 scaling at n=8", 1.9 <= slope <= 2.1, f"slope {slope:.4f}")
+
+
 def test_c08_noise_robustness():
     hits = 0
     for i in range(200):

@@ -12,6 +12,7 @@ from multisearch import dense, model, walker
 from multisearch.analysis import estimator_success_prob, ml_decode
 from multisearch.bench import fit_scaling
 from multisearch.dense import solve_dense, solve_naive
+from multisearch.kposition import count_threshold, estimate_from_counts, queries_for_confidence
 from multisearch.model import DomainError, NoiseModel, Oracle, Response, make_instance
 from multisearch.walker import WalkConfig, choose_walk_length, solve_walker
 
@@ -55,12 +56,22 @@ def test_solvers_need_only_the_query_interface(solve):
     assert got.total_queries == proxy.query_count > 0
 
 
-def test_cli_import_leaves_out_scipy():
-    code = ("import sys, multisearch.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+def _modules_after(statement: str) -> set:
+    """The modules a fresh interpreter holds after ``statement``."""
+    code = f"import sys; {statement}; print(' '.join(sorted(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return set(proc.stdout.split())
+
+
+def test_cli_import_leaves_out_scipy():
+    # the CLI pulls in numpy and the standard library, nothing else: a new
+    # third-party import would show in every command's start-up time
+    cli = _modules_after("import multisearch.cli")
+    assert not any(m.split(".")[0] == "scipy" for m in cli)
+    extra = cli - _modules_after("import numpy")
+    assert {m for m in extra if m.split(".")[0] not in
+            {"multisearch", *sys.stdlib_module_names}} == set()
 
 
 def test_perfbench_tracer_wraps_the_package(monkeypatch):
@@ -117,8 +128,34 @@ def test_perfbench_selftest_passes():
     (lambda: ml_decode([], 0, 1), "n=0"),
     (lambda: ml_decode([(1, Response.LEQ)], 2, 1, rho=1.5), "got 1.5"),
     (lambda: fit_scaling([(1, 1), (2, 2), (float("nan"), 3)]), "got nan"),
+    (lambda: count_threshold(1, 4, 2, 0.5), "got 0.5"),
+    (lambda: count_threshold(1, 4, 0), "k=0"),
+    (lambda: estimate_from_counts(3, 4, 2, 0.5), "got 0.5"),
+    (lambda: estimate_from_counts(3, 0, 2), "m=0"),
+    (lambda: queries_for_confidence(2, 0.1, rho=0.5), "got 0.5"),
+    (lambda: ml_decode([(1, "leq")], 3, 1), "not a Response"),
 ], ids=["walk_length-n=0", "for_problem-n=0", "success_prob-k=0", "success_prob-rho=0.5",
-        "ml_decode-k=0", "ml_decode-n=0", "ml_decode-rho=1.5", "fit_scaling-x=nan"])
+        "ml_decode-k=0", "ml_decode-n=0", "ml_decode-rho=1.5", "fit_scaling-x=nan",
+        "count_threshold-rho=0.5", "count_threshold-k=0", "estimate_from_counts-rho=0.5",
+        "estimate_from_counts-m=0", "queries_for_confidence-rho=0.5", "ml_decode-answer=str"])
 def test_out_of_domain_arguments_raise_domain_error(call, named):
     with pytest.raises(DomainError, match=named):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: queries_for_confidence(2.5, 0.1),
+    lambda: queries_for_confidence(True, 0.1),
+    lambda: estimator_success_prob(2.5, 4, 1),
+    lambda: estimator_success_prob(2, 2.5, 1),
+    lambda: estimator_success_prob(2, True, 1),
+    lambda: count_threshold(1, 4.0, 2),
+    lambda: estimate_from_counts(3, 4, 2.0),
+], ids=["queries_for_confidence-k=2.5", "queries_for_confidence-k=True",
+        "success_prob-k=2.5", "success_prob-m=2.5", "success_prob-m=True",
+        "count_threshold-m=4.0", "estimate_from_counts-k=2.0"])
+def test_non_integer_k_or_m_raises_type_error(call):
+    # k and m count hidden elements and queries: a float or a bool is
+    # rejected, not rounded, truncated or read as 0 or 1
+    with pytest.raises(TypeError):
         call()

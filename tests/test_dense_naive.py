@@ -9,7 +9,7 @@ from multisearch.kposition import queries_for_confidence
 from multisearch.model import (DomainError, Oracle, k_position_true,
                                make_instance)
 from multisearch.seeds import derive_seed
-from multisearch.walker import ceil_log2, solve_walker
+from multisearch.walker import WalkConfig, ceil_log2, find_tth, solve_walker
 
 
 def test_ground_truth_profile_recovers_instance():
@@ -85,6 +85,14 @@ def test_solve_naive_probe_count():
         assert q // m_per <= ceil_log2(n) + 1
 
 
+def test_solve_naive_beyond_machine_integers():
+    # the bisection runs on Python ints: n = 10^400 is far past Py_ssize_t
+    n = 10**400
+    inst = make_instance(n, 2, [5, n - 3])
+    r = solve_naive(Oracle(inst, seed=4), n, 2, 0.1)
+    assert r.recovered == [5, n - 3]
+
+
 def test_naive_costs_more_than_walker():
     # the naive baseline pays the extra log(2 k log n) factor
     n, k = 2**16, 8
@@ -117,5 +125,25 @@ def test_solvers_reject_n_k_unlike_the_oracle(solve):
     # a solver runs only on the (n, k) of the oracle it is given
     o = Oracle(make_instance(16, 2, [3, 10]), seed=0)
     with pytest.raises(DomainError):
+        solve(o)
+    assert o.query_count == 0
+
+
+_CFG = WalkConfig.for_problem(8, 2, 0.1)
+
+
+@pytest.mark.parametrize("k, solve", [
+    (2, lambda o: solve_naive(o, 8.0, 2, 0.1)),
+    (2, lambda o: solve_dense(o, 8.0, 2, 1.0)),
+    (2, lambda o: solve_walker(o, 8, 2.0, 0.1)),
+    (1, lambda o: solve_dense(o, 8, True, 1.0)),
+    (2, lambda o: find_tth(o, True, _CFG)),
+    (2, lambda o: find_tth(o, 1.0, _CFG)),
+], ids=["naive-n=8.0", "dense-n=8.0", "walker-k=2.0", "dense-k=True", "find_tth-t=True",
+        "find_tth-t=1.0"])
+def test_solvers_reject_non_integer_n_k_t(k, solve):
+    # 8.0 == 8 and True == 1, but neither is an integer: no solve starts
+    o = Oracle(make_instance(8, k, [5] * k), seed=0)
+    with pytest.raises(TypeError):
         solve(o)
     assert o.query_count == 0
