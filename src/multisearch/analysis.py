@@ -20,9 +20,9 @@ import math
 from bisect import bisect_right
 from itertools import combinations_with_replacement
 
-from .kposition import _check_domain, estimate_from_counts
-from .model import (CapacityError, DomainError, NoiseModel, Response, Transcript,
-                    check_n_k, leq_probability)
+from .kposition import estimate_from_counts
+from .model import (CapacityError, DomainError, Response, Transcript, as_int,
+                    check_n_k, check_rho, leq_probability)
 
 _NEG_INF = float("-inf")
 
@@ -73,8 +73,9 @@ def estimator_success_prob(k: int, m: int, k_true: int, rho: float = 1.0) -> flo
     Sums the binomial law of the LEQ count over exactly those counts the
     shared rounding pipeline maps back to k_true.
     """
-    _check_domain(k, rho, m)
-    if not (0 <= k_true <= k):
+    k, m, rho = as_int(k, "k", 1), as_int(m, "m", 1), check_rho(rho)
+    k_true = as_int(k_true, "k_true")
+    if k_true > k:
         raise DomainError(f"k_true must be in [0, {k}], got {k_true}")
     p = leq_probability(k_true, k, rho)
     return math.fsum(binom_pmf(x, m, p) for x in range(m + 1)
@@ -87,8 +88,8 @@ def ml_decode(transcript: Transcript, n: int, k: int, rho: float = 1.0) -> tuple
     Enumerates all C(n+k-1, k) multisets; ties break to the
     lexicographically smallest sorted tuple. Guarded to desk scale.
     """
-    check_n_k(n, k)
-    NoiseModel(rho)  # DomainError unless rho is in (1/2, 1]
+    n, k = check_n_k(n, k)
+    rho = check_rho(rho)
     n_candidates = math.comb(n + k - 1, k)
     if n_candidates > ML_DECODE_MAX_CANDIDATES:
         raise CapacityError(

@@ -21,7 +21,7 @@ import numpy as np
 
 from .dense import solve_dense, solve_naive
 from .instances import bin_instance, cluster_instance
-from .model import DomainError, Instance, NoiseModel, Oracle, sample_instance
+from .model import DomainError, Instance, NoiseModel, Oracle, as_int, sample_instance
 from .seeds import MASK64, derive_seed
 from .walker import solve_walker
 
@@ -66,9 +66,9 @@ class ExperimentConfig:
                 raise DomainError("a generated instance needs both n and k")
         elif not self.instance.startswith("file:"):
             raise DomainError(f"unknown instance kind {self.instance!r}")
-        if self.trials < 1:
-            raise DomainError(f"trials must be >= 1, got {self.trials}")
-        if not (0 <= self.master_seed <= MASK64):
+        self.trials = as_int(self.trials, "trials", 1)
+        self.master_seed = as_int(self.master_seed, "seed")
+        if self.master_seed > MASK64:
             raise DomainError(f"seed must be in [0, 2^64), got {self.master_seed}")
         if self.algo not in SOLVERS:
             raise DomainError(f"unknown algo {self.algo!r}")

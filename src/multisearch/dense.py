@@ -15,7 +15,7 @@ from bisect import bisect_left
 from itertools import accumulate
 
 from .kposition import _queries_for_exponent, estimate_k_position
-from .model import DomainError, Oracle, check_oracle_shape
+from .model import DomainError, Oracle, check_delta, check_oracle_shape
 from .reports import SolverReport
 from .walker import ceil_log2
 
@@ -33,7 +33,7 @@ def multiset_from_profile(profile: list[int]) -> list[int]:
 
 def solve_dense(oracle: Oracle, n: int, k: int, c: float = 1.0) -> SolverReport:
     """Recover the multiset from a full k-position profile over [1, n]."""
-    check_oracle_shape(oracle, n, k)
+    n, k = check_oracle_shape(oracle, n, k)
     if not c > 0:
         raise DomainError(f"c must be positive, got {c}")
     # per-point delta n^-(c+1), passed as its exponent: it can underflow
@@ -52,11 +52,10 @@ def solve_naive(oracle: Oracle, n: int, k: int, delta: float) -> SolverReport:
     Each probe estimates a k-position at confidence delta / (k * ceil(log2 n)),
     so a union bound over all probes keeps the overall error below delta.
     """
-    check_oracle_shape(oracle, n, k)
+    n, k = check_oracle_shape(oracle, n, k)
     if k > n:
         raise DomainError(f"naive solver needs 1 <= k <= n, got k={k}, n={n}")
-    if not (0.0 < delta < 1.0):
-        raise DomainError(f"delta must be in (0, 1), got {delta}")
+    delta = check_delta(delta)
     bits = max(1, ceil_log2(n))
     # per-probe delta / (k * bits), passed as its exponent: it can underflow
     m_per = _queries_for_exponent(k, math.log2(k * bits) - math.log2(delta),

@@ -16,7 +16,7 @@ from .model import DomainError, Instance, check_int64_range, check_n_k, make_ins
 
 def cluster_instance(n: int, k: int, seed: int) -> Instance:
     """One uniform element per cluster [(i-1)n/k + 1, i*n/k]; requires k | n."""
-    check_n_k(n, k)
+    n, k = check_n_k(n, k)
     if n % k != 0:
         raise DomainError(f"cluster instance needs k | n, got n={n}, k={k}")
     width = n // k
@@ -32,6 +32,7 @@ def bin_instance(n: int, k: int, seed: int) -> Instance:
 
     Requires 4 | k and k <= n - 2 so all bins lie inside [2, n-1].
     """
+    n, k = check_n_k(n, k)
     if k < 4 or k % 4 != 0:
         raise DomainError(f"bin instance needs 4 | k, got k={k}")
     if k > n - 2:

@@ -18,6 +18,9 @@ and ``query``. Each answer is the next double of the oracle's generator,
 drawn in place in chunks of at most ``DRAW_BUFFER``, so the generator stands
 exactly ``query_count`` doubles past its seed. ``Oracle.instance`` and the
 ground-truth helper ``k_position_true`` are for the harness and tests only.
+Each argument rule is stated once, here, and returns the value it
+accepted: ``as_int`` (every integer), ``check_n_k``, ``check_rho`` and
+``check_delta``; ``_integral`` is the looser rule of instance files.
 """
 
 from __future__ import annotations
@@ -84,8 +87,33 @@ class NoiseModel:
     rho: float = 1.0
 
     def __post_init__(self):
-        if not (0.5 < self.rho <= 1.0):
-            raise DomainError(f"rho must be in (1/2, 1], got {self.rho}")
+        check_rho(self.rho)
+
+
+def as_int(value, name: str, low: int = 0) -> int:
+    """value as an int; TypeError for a bool or non-integer (2.0 too), DomainError below low."""
+    if type(value) is bool or not hasattr(value, "__index__"):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    value = operator.index(value)
+    if value < low:
+        raise DomainError(f"{name} must be >= {low}, got {value} ({name}={value})")
+    return value
+
+
+def check_rho(rho: float) -> float:
+    """rho once checked: a comparison is right with probability in (1/2, 1]."""
+    if isinstance(rho, (bool, np.bool_)):
+        raise TypeError(f"rho must be a probability, got {rho!r}")
+    if not 0.5 < rho <= 1.0:
+        raise DomainError(f"rho must be in (1/2, 1], got {rho}")
+    return rho
+
+
+def check_delta(delta: float) -> float:
+    """delta once checked: a failure target lies in (0, 1)."""
+    if not 0.0 < delta < 1.0:
+        raise DomainError(f"delta must be in (0, 1), got {delta}")
+    return delta
 
 
 def _integral(values: list, what: str) -> list[int]:
@@ -116,10 +144,9 @@ def make_instance(n: int, k: int, items) -> Instance:
     return Instance(n=n, k=k, items=tuple(items))
 
 
-def check_n_k(n: int, k: int) -> None:
-    """Reject n < 1 or k < 1: an instance is k >= 1 values in [1, n]."""
-    if n < 1 or k < 1:
-        raise DomainError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+def check_n_k(n: int, k: int) -> tuple[int, int]:
+    """(n, k) as ints: an instance is k >= 1 values in [1, n]."""
+    return as_int(n, "n", 1), as_int(k, "k", 1)
 
 
 def check_int64_range(n: int) -> None:
@@ -130,7 +157,7 @@ def check_int64_range(n: int) -> None:
 
 def sample_instance(n: int, k: int, mode: str, seed: int) -> Instance:
     """Sample a random instance: k i.i.d. uniform values, or a uniform k-subset."""
-    check_n_k(n, k)
+    n, k = check_n_k(n, k)
     check_int64_range(n)
     rng = np.random.Generator(np.random.PCG64(seed))
     if mode == "with-replacement":
@@ -219,13 +246,9 @@ class Oracle:
 
         A bool or float raises TypeError, a y outside [1, n] or a negative
         m or rows DomainError, and a rejected call charges nothing."""
-        if any(type(v) is bool for v in (*ys, m, rows)):
-            raise TypeError(f"y, m and rows must be integers, got {ys!r}, {m!r}, {rows!r}")
-        ys = [operator.index(y) for y in ys]
-        m, rows = operator.index(m), operator.index(rows)
-        if m < 0 or rows < 0:
-            raise DomainError(f"m and rows must be >= 0, got {m}, {rows}")
-        if not all(1 <= y <= self.n for y in ys):
+        ys = [as_int(y, "y", 1) for y in ys]
+        m, rows = as_int(m, "m"), as_int(rows, "rows")
+        if any(y > self.n for y in ys):
             raise DomainError(f"y must be in [1, {self.n}], got {ys}")
         self.query_count += rows * len(ys) * m
         return ys, m, rows
@@ -247,13 +270,12 @@ class Oracle:
         return Response.LEQ if self.query_batch(y, 1) else Response.GT
 
 
-def check_oracle_shape(oracle: Oracle, n: int, k: int) -> None:
-    """TypeError unless a solver's n and k are ints, DomainError unless the oracle's."""
-    if type(n) is bool or type(k) is bool:
-        raise TypeError(f"n and k must be integers, got {n!r}, {k!r}")
-    if (operator.index(n), operator.index(k)) != (oracle.n, oracle.k):
+def check_oracle_shape(oracle: Oracle, n: int, k: int) -> tuple[int, int]:
+    """A solver's (n, k) by ``check_n_k``; DomainError unless they are the oracle's own."""
+    if check_n_k(n, k) != (oracle.n, oracle.k):
         raise DomainError(f"(n, k) = ({n}, {k}) disagrees with the oracle's "
                           f"({oracle.n}, {oracle.k})")
+    return oracle.n, oracle.k
 
 
 def collect_transcript(oracle: Oracle, ys) -> Transcript:

@@ -32,12 +32,11 @@ exp(-m/35).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Optional
 
 from .kposition import count_threshold, estimate_k_position, queries_for_confidence
-from .model import DomainError, Oracle, check_oracle_shape
+from .model import DomainError, Oracle, as_int, check_delta, check_oracle_shape
 from .reports import SolverReport
 
 # Per-step endpoint checks use budget for failure prob 1/8 each (8k^2 at
@@ -68,11 +67,9 @@ class WalkConfig:
     step2_m: int
 
     def __post_init__(self):
-        if any(type(v) is bool for v in (self.m, self.step1_m, self.step2_m)):
-            raise TypeError(f"walk length and budgets must be integers, got {self}")
-        m, step1_m, step2_m = map(operator.index, (self.m, self.step1_m, self.step2_m))
-        if m < 0 or min(step1_m, step2_m) < 1:
-            raise DomainError(f"need m >= 0 and step budgets >= 1, got {self}")
+        as_int(self.m, "m")
+        as_int(self.step1_m, "step1_m", 1)
+        as_int(self.step2_m, "step2_m", 1)
 
     @classmethod
     def for_problem(cls, n: int, k: int, delta: float, rho: float = 1.0) -> "WalkConfig":
@@ -85,16 +82,13 @@ class WalkConfig:
 
 def ceil_log2(n: int) -> int:
     """ceil(log2 n) via bit length; 0 for n = 1."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    return (n - 1).bit_length()
+    return (as_int(n, "n", 1) - 1).bit_length()
 
 
 def choose_walk_length(n: int, delta: float) -> int:
     """Walk length 70*ceil(log2 n), or 70*ceil(log2(1/delta)) when delta < 1/n."""
-    if not (0.0 < delta < 1.0):
-        raise DomainError(f"delta must be in (0, 1), got {delta}")
-    bits = max(1, ceil_log2(n))  # DomainError for n < 1
+    delta = check_delta(delta)
+    bits = max(1, ceil_log2(n))  # TypeError or DomainError unless n is an int >= 1
     # 1 / n is correctly rounded for any int n (no float(n) overflow)
     if delta >= 1 / n:
         return 70 * bits
@@ -160,9 +154,8 @@ def find_tth(oracle: Oracle, t: int, cfg: WalkConfig) -> Optional[int]:
     """Walk cfg.m steps from the root, or until the value is decided;
     return the leaf value, or None on failure."""
     n, k = oracle.n, oracle.k
-    if type(t) is bool:
-        raise TypeError(f"t must be an integer, got {t!r}")
-    if not (1 <= operator.index(t) <= k):
+    t = as_int(t, "t", 1)
+    if t > k:
         raise DomainError(f"t must be in [1, {k}], got {t}")
     # on a chain node [a, a] walk_step's checks ka <= t - 1 and kb >= t
     # are x_a < x_t and x_b >= x_t, drawn in that order; a forced end
@@ -198,6 +191,6 @@ def solve_walker(oracle: Oracle, n: int, k: int, delta: float) -> SolverReport:
     The query-complexity guarantee is stated for k <= n; the walk itself
     runs for any k >= 1 (for n = 1 it trivially parks on the only leaf).
     """
-    check_oracle_shape(oracle, n, k)
+    n, k = check_oracle_shape(oracle, n, k)
     cfg = WalkConfig.for_problem(n, k, delta, oracle.noise.rho)
     return SolverReport.of_values(oracle, (find_tth(oracle, t, cfg) for t in range(1, k + 1)))

@@ -111,6 +111,10 @@ def test_config_validation():
         run_experiment(_config(instance="weird"))
     with pytest.raises(DomainError):
         run_experiment(_config(rho=0.4))
+    # trials and the seed are integers: a bool or a float is not one
+    for bad in ({"trials": True}, {"trials": 2.5}, {"master_seed": 1.5}):
+        with pytest.raises(TypeError):
+            run_experiment(_config(**bad))
 
 
 def test_malformed_instance_file(tmp_path):

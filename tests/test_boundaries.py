@@ -12,8 +12,10 @@ from multisearch import dense, model, walker
 from multisearch.analysis import estimator_success_prob, ml_decode
 from multisearch.bench import fit_scaling
 from multisearch.dense import solve_dense, solve_naive
+from multisearch.instances import bin_instance, cluster_instance
 from multisearch.kposition import count_threshold, estimate_from_counts, queries_for_confidence
-from multisearch.model import DomainError, NoiseModel, Oracle, Response, make_instance
+from multisearch.model import (DomainError, NoiseModel, Oracle, Response, make_instance,
+                               sample_instance)
 from multisearch.walker import WalkConfig, choose_walk_length, solve_walker
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -151,11 +153,26 @@ def test_out_of_domain_arguments_raise_domain_error(call, named):
     lambda: estimator_success_prob(2, True, 1),
     lambda: count_threshold(1, 4.0, 2),
     lambda: estimate_from_counts(3, 4, 2.0),
+    lambda: choose_walk_length(8.0, 0.1),
+    lambda: WalkConfig.for_problem(8.0, 2, 0.1),
+    lambda: choose_walk_length(True, 0.1),
+    lambda: sample_instance(8.5, 2, "distinct", 1),
+    lambda: NoiseModel(True),
+    lambda: cluster_instance(8.0, 2, 1),
+    lambda: bin_instance(16.0, 4, 1),
+    lambda: bin_instance(16, 4.0, 1),
+    lambda: ml_decode([], 4, 2, rho=True),
+    lambda: ml_decode([], 4.0, 2),
+    lambda: estimator_success_prob(2, 4, True),
 ], ids=["queries_for_confidence-k=2.5", "queries_for_confidence-k=True",
         "success_prob-k=2.5", "success_prob-m=2.5", "success_prob-m=True",
-        "count_threshold-m=4.0", "estimate_from_counts-k=2.0"])
+        "count_threshold-m=4.0", "estimate_from_counts-k=2.0", "walk_length-n=8.0",
+        "for_problem-n=8.0", "walk_length-n=True", "sample_instance-n=8.5",
+        "NoiseModel-rho=True", "cluster-n=8.0", "bins-n=16.0", "bins-k=4.0",
+        "ml_decode-rho=True", "ml_decode-n=4.0", "success_prob-k_true=True"])
 def test_non_integer_k_or_m_raises_type_error(call):
-    # k and m count hidden elements and queries: a float or a bool is
-    # rejected, not rounded, truncated or read as 0 or 1
+    # n, k, m and k_true count values, hidden elements and queries: a float
+    # or a bool is rejected, not rounded, truncated or read as 0 or 1, and
+    # a bool is not a probability rho
     with pytest.raises(TypeError):
         call()

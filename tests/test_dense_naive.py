@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from multisearch.dense import (multiset_from_profile, repair_monotone,
@@ -147,3 +148,12 @@ def test_solvers_reject_non_integer_n_k_t(k, solve):
     with pytest.raises(TypeError):
         solve(o)
     assert o.query_count == 0
+
+
+@pytest.mark.parametrize("solve", [solve_walker, solve_naive], ids=["walker", "naive"])
+def test_solvers_take_numpy_integer_n_k(solve):
+    # a numpy integer is an integer: the solve goes on with it as an int
+    inst = make_instance(8, 2, [3, 6])
+    got = solve(Oracle(inst, seed=4), np.int64(8), np.int64(2), 0.1)
+    want = solve(Oracle(inst, seed=4), 8, 2, 0.1)
+    assert (got.recovered, got.per_target) == (want.recovered, want.per_target)
