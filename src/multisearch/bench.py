@@ -21,8 +21,9 @@ import numpy as np
 
 from .dense import solve_dense, solve_naive
 from .instances import bin_instance, cluster_instance
-from .model import DomainError, Instance, NoiseModel, Oracle, as_int, sample_instance
-from .seeds import MASK64, derive_seed
+from .model import (DomainError, Instance, NoiseModel, Oracle, as_int, check_seed,
+                    sample_instance)
+from .seeds import derive_seed
 from .walker import solve_walker
 
 CSV_HEADER = ["trial", "seed", "n", "k", "algo", "instance",
@@ -67,9 +68,7 @@ class ExperimentConfig:
         elif not self.instance.startswith("file:"):
             raise DomainError(f"unknown instance kind {self.instance!r}")
         self.trials = as_int(self.trials, "trials", 1)
-        self.master_seed = as_int(self.master_seed, "seed")
-        if self.master_seed > MASK64:
-            raise DomainError(f"seed must be in [0, 2^64), got {self.master_seed}")
+        self.master_seed = check_seed(self.master_seed)
         if self.algo not in SOLVERS:
             raise DomainError(f"unknown algo {self.algo!r}")
 

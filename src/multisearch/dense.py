@@ -14,6 +14,8 @@ import math
 from bisect import bisect_left
 from itertools import accumulate
 
+import numpy as np
+
 from .kposition import _queries_for_exponent, estimate_k_position
 from .model import DomainError, Oracle, check_delta, check_oracle_shape
 from .reports import SolverReport
@@ -34,6 +36,8 @@ def multiset_from_profile(profile: list[int]) -> list[int]:
 def solve_dense(oracle: Oracle, n: int, k: int, c: float = 1.0) -> SolverReport:
     """Recover the multiset from a full k-position profile over [1, n]."""
     n, k = check_oracle_shape(oracle, n, k)
+    if isinstance(c, (bool, np.bool_)):
+        raise TypeError(f"c must be a positive number, got {c!r}")
     if not c > 0:
         raise DomainError(f"c must be positive, got {c}")
     # per-point delta n^-(c+1), passed as its exponent: it can underflow

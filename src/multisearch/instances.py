@@ -9,9 +9,8 @@ within a bin is a 1/k-biased coin question.
 
 from __future__ import annotations
 
-import numpy as np
-
-from .model import DomainError, Instance, check_int64_range, check_n_k, make_instance
+from .model import (DomainError, Instance, check_int64_range, check_n_k, generator,
+                    make_instance)
 
 
 def cluster_instance(n: int, k: int, seed: int) -> Instance:
@@ -21,7 +20,7 @@ def cluster_instance(n: int, k: int, seed: int) -> Instance:
         raise DomainError(f"cluster instance needs k | n, got n={n}, k={k}")
     width = n // k
     check_int64_range(width)
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = generator(seed)
     offsets = rng.integers(0, width, size=k)
     items = [i * width + 1 + int(off) for i, off in enumerate(offsets)]
     return make_instance(n, k, items)
@@ -37,7 +36,7 @@ def bin_instance(n: int, k: int, seed: int) -> Instance:
         raise DomainError(f"bin instance needs 4 | k, got k={k}")
     if k > n - 2:
         raise DomainError(f"bin instance needs k <= n - 2, got k={k}, n={n}")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = generator(seed)
     picks = rng.integers(0, 2, size=k // 2)
     items = [1] * (k // 4) + [n] * (k // 4)
     items += [2 * i + int(p) for i, p in enumerate(picks, start=1)]

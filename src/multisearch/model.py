@@ -19,8 +19,10 @@ drawn in place in chunks of at most ``DRAW_BUFFER``, so the generator stands
 exactly ``query_count`` doubles past its seed. ``Oracle.instance`` and the
 ground-truth helper ``k_position_true`` are for the harness and tests only.
 Each argument rule is stated once, here, and returns the value it
-accepted: ``as_int`` (every integer), ``check_n_k``, ``check_rho`` and
-``check_delta``; ``_integral`` is the looser rule of instance files.
+accepted: ``as_int`` (every integer), ``check_seed``, ``check_n_k``,
+``check_rho`` and ``check_delta``; ``_integral`` is the looser rule of
+instance files. ``generator`` is the one place a seed becomes a PCG64
+generator.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+
+from .seeds import MASK64
 
 
 class DomainError(ValueError):
@@ -100,6 +104,19 @@ def as_int(value, name: str, low: int = 0) -> int:
     return value
 
 
+def check_seed(seed) -> int:
+    """seed as an int by ``as_int``; DomainError unless it lies in [0, 2^64)."""
+    seed = as_int(seed, "seed")
+    if seed > MASK64:
+        raise DomainError(f"seed must be in [0, 2^64), got {seed}")
+    return seed
+
+
+def generator(seed) -> np.random.Generator:
+    """The PCG64 generator of a seed checked by ``check_seed``; the only one built."""
+    return np.random.Generator(np.random.PCG64(check_seed(seed)))
+
+
 def check_rho(rho: float) -> float:
     """rho once checked: a comparison is right with probability in (1/2, 1]."""
     if isinstance(rho, (bool, np.bool_)):
@@ -159,7 +176,7 @@ def sample_instance(n: int, k: int, mode: str, seed: int) -> Instance:
     """Sample a random instance: k i.i.d. uniform values, or a uniform k-subset."""
     n, k = check_n_k(n, k)
     check_int64_range(n)
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = generator(seed)
     if mode == "with-replacement":
         items = rng.integers(1, n + 1, size=k)
     elif mode == "distinct":
@@ -179,7 +196,8 @@ def leq_probability(k_pos: int, k: int, rho: float = 1.0) -> float:
 
 def k_position_true(instance: Instance, y: int) -> int:
     """Number of hidden elements <= y, counted with multiplicity. y in [0, n]."""
-    if not (0 <= y <= instance.n):
+    y = as_int(y, "y")
+    if y > instance.n:
         raise DomainError(f"y must be in [0, {instance.n}], got {y}")
     return bisect_right(instance.items, y)
 
@@ -198,7 +216,8 @@ class Oracle:
     seed: int = 0
 
     def __post_init__(self):
-        self._rng = np.random.Generator(np.random.PCG64(self.seed))
+        self.seed = check_seed(self.seed)
+        self._rng = generator(self.seed)
         self.query_count = 0
         self.n, self.k = self.instance.n, self.instance.k
         # scratch for drawn doubles; nothing in it outlives a call

@@ -1,7 +1,9 @@
 """Deterministic 64-bit seed derivation.
 
 Every source of randomness in this package is an explicit 64-bit seed fed
-to numpy's PCG64. Derived streams (per trial, per oracle) come from
+to numpy's PCG64. Every ``seed=`` argument and ``--seed`` take an integer
+in [0, 2^64); ``model.generator`` checks that and is the one place a
+generator is built. Derived streams (per trial, per oracle) come from
 ``derive_seed``, a splitmix64-style mix with published constants, so any
 run is reproducible from a single master seed. The exact function is part
 of the external contract: results files can be regenerated bit-for-bit by

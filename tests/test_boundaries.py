@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from multisearch import dense, model, walker
@@ -14,11 +15,21 @@ from multisearch.bench import fit_scaling
 from multisearch.dense import solve_dense, solve_naive
 from multisearch.instances import bin_instance, cluster_instance
 from multisearch.kposition import count_threshold, estimate_from_counts, queries_for_confidence
-from multisearch.model import (DomainError, NoiseModel, Oracle, Response, make_instance,
-                               sample_instance)
+from multisearch.model import (DomainError, NoiseModel, Oracle, Response, k_position_true,
+                               make_instance, sample_instance)
 from multisearch.walker import WalkConfig, choose_walk_length, solve_walker
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "multisearch"
+INST = make_instance(8, 2, [3, 6])
+
+# each seeded constructor, as a function of its seed alone
+SEEDED = {
+    "Oracle": lambda seed: Oracle(INST, seed=seed),
+    "sample_instance": lambda seed: sample_instance(8, 2, "distinct", seed),
+    "cluster": lambda seed: cluster_instance(8, 2, seed),
+    "bins": lambda seed: bin_instance(16, 4, seed),
+}
 
 
 class QueryOnlyOracle:
@@ -74,6 +85,23 @@ def test_cli_import_leaves_out_scipy():
     extra = cli - _modules_after("import numpy")
     assert {m for m in extra if m.split(".")[0] not in
             {"multisearch", *sys.stdlib_module_names}} == set()
+
+
+def test_one_place_builds_a_generator():
+    # the seed rule is checked where the generator is built: a second
+    # PCG64 constructor would bypass it
+    found = [(path.name, line) for path in sorted(PACKAGE.glob("*.py"))
+             for line in path.read_text(encoding="utf-8").splitlines()
+             if "PCG64(" in line]
+    assert len(found) == 1, found
+    assert found[0][0] == "model.py"
+
+
+def test_numpy_integer_seed_is_the_int_seed():
+    oracle, want = Oracle(INST, seed=np.uint64(5)), Oracle(INST, seed=5)
+    assert type(oracle.seed) is int and oracle.seed == 5
+    assert [oracle.query_batch(y, 50) for y in (2, 3, 5, 6, 8)] == \
+        [want.query_batch(y, 50) for y in (2, 3, 5, 6, 8)]
 
 
 def test_perfbench_tracer_wraps_the_package(monkeypatch):
@@ -136,10 +164,13 @@ def test_perfbench_selftest_passes():
     (lambda: estimate_from_counts(3, 0, 2), "m=0"),
     (lambda: queries_for_confidence(2, 0.1, rho=0.5), "got 0.5"),
     (lambda: ml_decode([(1, "leq")], 3, 1), "not a Response"),
+    *[(lambda make=make, seed=seed: make(seed), "seed")
+      for make in SEEDED.values() for seed in (-1, 2**64)],
 ], ids=["walk_length-n=0", "for_problem-n=0", "success_prob-k=0", "success_prob-rho=0.5",
         "ml_decode-k=0", "ml_decode-n=0", "ml_decode-rho=1.5", "fit_scaling-x=nan",
         "count_threshold-rho=0.5", "count_threshold-k=0", "estimate_from_counts-rho=0.5",
-        "estimate_from_counts-m=0", "queries_for_confidence-rho=0.5", "ml_decode-answer=str"])
+        "estimate_from_counts-m=0", "queries_for_confidence-rho=0.5", "ml_decode-answer=str",
+        *[f"{name}-seed={seed}" for name in SEEDED for seed in ("-1", "2^64")]])
 def test_out_of_domain_arguments_raise_domain_error(call, named):
     with pytest.raises(DomainError, match=named):
         call()
@@ -164,15 +195,21 @@ def test_out_of_domain_arguments_raise_domain_error(call, named):
     lambda: ml_decode([], 4, 2, rho=True),
     lambda: ml_decode([], 4.0, 2),
     lambda: estimator_success_prob(2, 4, True),
+    lambda: solve_dense(Oracle(INST), 8, 2, True),
+    lambda: k_position_true(INST, 2.5),
+    lambda: k_position_true(INST, True),
+    *[lambda make=make, seed=seed: make(seed) for make in SEEDED.values() for seed in (True, 1.5)],
 ], ids=["queries_for_confidence-k=2.5", "queries_for_confidence-k=True",
         "success_prob-k=2.5", "success_prob-m=2.5", "success_prob-m=True",
         "count_threshold-m=4.0", "estimate_from_counts-k=2.0", "walk_length-n=8.0",
         "for_problem-n=8.0", "walk_length-n=True", "sample_instance-n=8.5",
         "NoiseModel-rho=True", "cluster-n=8.0", "bins-n=16.0", "bins-k=4.0",
-        "ml_decode-rho=True", "ml_decode-n=4.0", "success_prob-k_true=True"])
+        "ml_decode-rho=True", "ml_decode-n=4.0", "success_prob-k_true=True", "dense-c=True",
+        "k_position_true-y=2.5", "k_position_true-y=True",
+        *[f"{name}-seed={seed}" for name in SEEDED for seed in ("True", "1.5")]])
 def test_non_integer_k_or_m_raises_type_error(call):
-    # n, k, m and k_true count values, hidden elements and queries: a float
-    # or a bool is rejected, not rounded, truncated or read as 0 or 1, and
-    # a bool is not a probability rho
+    # n, k, m, y, k_true and seeds count values, hidden elements, queries and
+    # streams: a float or a bool is rejected, not rounded, truncated or read
+    # as 0 or 1, and a bool is neither a probability rho nor a constant c
     with pytest.raises(TypeError):
         call()
