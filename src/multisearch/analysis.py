@@ -98,7 +98,8 @@ def ml_decode(transcript: Transcript, n: int, k: int, rho: float = 1.0) -> tuple
     # likelihood depends only on per-y (LEQ, GT) response counts
     per_y: dict[int, list[int]] = {}
     for y, resp in transcript:
-        if not (1 <= y <= n):
+        y = as_int(y, "y", 1)
+        if y > n:
             raise DomainError(f"transcript value {y} outside [1, {n}]")
         if not isinstance(resp, Response):
             raise DomainError(f"transcript answer {resp!r} is not a Response")

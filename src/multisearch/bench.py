@@ -107,7 +107,7 @@ def load_instance_file(path: str) -> Instance:
         raise DataError(f"cannot read instance file {path}: {exc}") from exc
     try:
         return Instance.from_json(text)
-    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise DataError(f"malformed instance file {path}: {exc}") from exc
 
 

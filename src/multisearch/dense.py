@@ -41,7 +41,10 @@ def solve_dense(oracle: Oracle, n: int, k: int, c: float = 1.0) -> SolverReport:
     if not c > 0:
         raise DomainError(f"c must be positive, got {c}")
     # per-point delta n^-(c+1), passed as its exponent: it can underflow
-    m_pt = _queries_for_exponent(k, (c + 1.0) * math.log2(n), oracle.noise.rho)
+    try:
+        m_pt = _queries_for_exponent(k, (c + 1.0) * math.log2(n), oracle.noise.rho)
+    except DomainError:
+        raise DomainError(f"c={c} gives no finite query budget at n={n}, k={k}") from None
 
     def values():
         estimates = [estimate_k_position(oracle, y, m_pt).k_pos for y in range(1, n + 1)]

@@ -77,7 +77,7 @@ def count_threshold(t: int, m: int, k: int, rho: float = 1.0) -> int:
     The threshold is found by bisection on ``estimate_from_counts``, so
     the rounding is still stated only there.
     """
-    k, m, rho = as_int(k, "k", 1), as_int(m, "m", 1), check_rho(rho)
+    t, k, m, rho = as_int(t, "t", 1), as_int(k, "k", 1), as_int(m, "m", 1), check_rho(rho)
     return bisect_left(range(m + 1), t, key=lambda x: estimate_from_counts(x, m, k, rho))
 
 

@@ -20,9 +20,8 @@ exactly ``query_count`` doubles past its seed. ``Oracle.instance`` and the
 ground-truth helper ``k_position_true`` are for the harness and tests only.
 Each argument rule is stated once, here, and returns the value it
 accepted: ``as_int`` (every integer), ``check_seed``, ``check_n_k``,
-``check_rho`` and ``check_delta``; ``_integral`` is the looser rule of
-instance files. ``generator`` is the one place a seed becomes a PCG64
-generator.
+``check_rho`` and ``check_delta``. ``generator`` is the one place a seed
+becomes a PCG64 generator.
 """
 
 from __future__ import annotations
@@ -69,19 +68,37 @@ ROWS_2D = 5
 
 @dataclass(frozen=True)
 class Instance:
-    """Hidden multiset of ``k`` integers in [1, n], stored sorted."""
+    """Hidden multiset of ``k`` integers in [1, n], stored sorted as ints.
+
+    It checks itself: n and k by ``check_n_k``, each item by ``as_int``."""
 
     n: int
     k: int
     items: tuple[int, ...]
+
+    def __post_init__(self):
+        n, k = check_n_k(self.n, self.k)
+        items = sorted(as_int(v, "item", 1) for v in self.items)
+        if len(items) != k:
+            raise DomainError(f"expected {k} items, got {len(items)}")
+        if items[-1] > n:
+            raise DomainError(f"items must lie in [1, {n}]: {items}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "items", tuple(items))
 
     def to_json(self) -> str:
         return json.dumps({"n": self.n, "k": self.k, "items": list(self.items)})
 
     @classmethod
     def from_json(cls, text: str) -> "Instance":
-        obj = json.loads(text)
-        return make_instance(obj["n"], obj["k"], obj["items"])
+        """The instance of a ``to_json`` text; an integral float such as 12.0 reads as 12."""
+        obj = json.loads(text, parse_float=lambda s: int(x) if (x := float(s)).is_integer() else x)
+        return cls(obj["n"], obj["k"], obj["items"])
+
+
+# the generators' name for the record, which checks itself
+make_instance = Instance
 
 
 @dataclass(frozen=True)
@@ -131,34 +148,6 @@ def check_delta(delta: float) -> float:
     if not 0.0 < delta < 1.0:
         raise DomainError(f"delta must be in (0, 1), got {delta}")
     return delta
-
-
-def _integral(values: list, what: str) -> list[int]:
-    """The values as ints; DomainError unless each is integral (2.0 is, 2.5 is not).
-
-    Booleans are not integers here, although ``True == 1``.
-    """
-    if any(isinstance(v, (bool, np.bool_)) for v in values):
-        raise DomainError(f"{what} must be integers, got {values}")
-    try:
-        ints = [int(v) for v in values]
-    except (OverflowError, ValueError) as exc:  # inf, nan
-        raise DomainError(f"{what} must be integers, got {values}") from exc
-    if ints != values:
-        raise DomainError(f"{what} must be integers, got {values}")
-    return ints
-
-
-def make_instance(n: int, k: int, items) -> Instance:
-    """Build a canonical (sorted) instance, validating range and cardinality."""
-    n, k = _integral([n, k], "n and k")
-    check_n_k(n, k)
-    items = sorted(_integral(list(items), "items"))
-    if len(items) != k:
-        raise DomainError(f"expected {k} items, got {len(items)}")
-    if items[0] < 1 or items[-1] > n:
-        raise DomainError(f"items must lie in [1, {n}]: {items}")
-    return Instance(n=n, k=k, items=tuple(items))
 
 
 def check_n_k(n: int, k: int) -> tuple[int, int]:
@@ -216,6 +205,10 @@ class Oracle:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.instance, Instance):
+            raise TypeError(f"instance must be an Instance, got {self.instance!r}")
+        if not isinstance(self.noise, NoiseModel):
+            raise TypeError(f"noise must be a NoiseModel, got {self.noise!r}")
         self.seed = check_seed(self.seed)
         self._rng = generator(self.seed)
         self.query_count = 0

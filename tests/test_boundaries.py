@@ -15,8 +15,8 @@ from multisearch.bench import fit_scaling
 from multisearch.dense import solve_dense, solve_naive
 from multisearch.instances import bin_instance, cluster_instance
 from multisearch.kposition import count_threshold, estimate_from_counts, queries_for_confidence
-from multisearch.model import (DomainError, NoiseModel, Oracle, Response, k_position_true,
-                               make_instance, sample_instance)
+from multisearch.model import (DomainError, Instance, NoiseModel, Oracle, Response,
+                               k_position_true, make_instance, sample_instance)
 from multisearch.walker import WalkConfig, choose_walk_length, solve_walker
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -164,12 +164,20 @@ def test_perfbench_selftest_passes():
     (lambda: estimate_from_counts(3, 0, 2), "m=0"),
     (lambda: queries_for_confidence(2, 0.1, rho=0.5), "got 0.5"),
     (lambda: ml_decode([(1, "leq")], 3, 1), "not a Response"),
+    (lambda: Instance(8, 3, (2, 5)), "expected 3 items"),
+    (lambda: Instance(8, 2, (0, 12)), "item=0"),
+    (lambda: Instance(8, 2, (3, 12)), r"\[1, 8\]"),
+    (lambda: count_threshold(0, 8, 2), "t=0"),
+    (lambda: solve_dense(Oracle(INST), 8, 2, 1e308), r"c=1e\+308"),
+    (lambda: solve_dense(Oracle(make_instance(1, 2, [1, 1])), 1, 2, float("inf")), "c=inf"),
     *[(lambda make=make, seed=seed: make(seed), "seed")
       for make in SEEDED.values() for seed in (-1, 2**64)],
 ], ids=["walk_length-n=0", "for_problem-n=0", "success_prob-k=0", "success_prob-rho=0.5",
         "ml_decode-k=0", "ml_decode-n=0", "ml_decode-rho=1.5", "fit_scaling-x=nan",
         "count_threshold-rho=0.5", "count_threshold-k=0", "estimate_from_counts-rho=0.5",
         "estimate_from_counts-m=0", "queries_for_confidence-rho=0.5", "ml_decode-answer=str",
+        "Instance-2_of_3_items", "Instance-item=0", "Instance-item=12", "count_threshold-t=0",
+        "dense-c=1e308", "dense-n=1-c=inf",
         *[f"{name}-seed={seed}" for name in SEEDED for seed in ("-1", "2^64")]])
 def test_out_of_domain_arguments_raise_domain_error(call, named):
     with pytest.raises(DomainError, match=named):
@@ -198,6 +206,15 @@ def test_out_of_domain_arguments_raise_domain_error(call, named):
     lambda: solve_dense(Oracle(INST), 8, 2, True),
     lambda: k_position_true(INST, 2.5),
     lambda: k_position_true(INST, True),
+    lambda: make_instance(4.0, 2, [1, 2]),
+    lambda: make_instance(4, 2, [2.0, 1.0]),
+    lambda: Instance(8, 2, (2.5, 3)),
+    lambda: ml_decode([(2.5, Response.LEQ)], 4, 1),
+    lambda: ml_decode([(True, Response.LEQ)], 4, 1),
+    lambda: count_threshold(1.5, 8, 2),
+    lambda: count_threshold(True, 8, 2),
+    lambda: Oracle(INST, 0.9),
+    lambda: Oracle((8, 2, (3, 6))),
     *[lambda make=make, seed=seed: make(seed) for make in SEEDED.values() for seed in (True, 1.5)],
 ], ids=["queries_for_confidence-k=2.5", "queries_for_confidence-k=True",
         "success_prob-k=2.5", "success_prob-m=2.5", "success_prob-m=True",
@@ -206,10 +223,14 @@ def test_out_of_domain_arguments_raise_domain_error(call, named):
         "NoiseModel-rho=True", "cluster-n=8.0", "bins-n=16.0", "bins-k=4.0",
         "ml_decode-rho=True", "ml_decode-n=4.0", "success_prob-k_true=True", "dense-c=True",
         "k_position_true-y=2.5", "k_position_true-y=True",
+        "make_instance-n=4.0", "make_instance-items=2.0", "Instance-item=2.5",
+        "ml_decode-y=2.5", "ml_decode-y=True", "count_threshold-t=1.5",
+        "count_threshold-t=True", "Oracle-noise=0.9", "Oracle-instance=tuple",
         *[f"{name}-seed={seed}" for name in SEEDED for seed in ("True", "1.5")]])
 def test_non_integer_k_or_m_raises_type_error(call):
-    # n, k, m, y, k_true and seeds count values, hidden elements, queries and
-    # streams: a float or a bool is rejected, not rounded, truncated or read
-    # as 0 or 1, and a bool is neither a probability rho nor a constant c
+    # n, k, items, m, y, t, k_true and seeds count values, hidden elements,
+    # queries and streams: a float or a bool is rejected, not rounded,
+    # truncated or read as 0 or 1; a bool is neither a probability rho nor a
+    # constant c; and an oracle takes only an Instance and a NoiseModel
     with pytest.raises(TypeError):
         call()

@@ -32,20 +32,35 @@ def test_make_instance_errors():
         make_instance(4, 2, [0, 1])  # below range
     with pytest.raises(DomainError):
         make_instance(0, 1, [1])
-    with pytest.raises(DomainError):
+    with pytest.raises(TypeError):
         make_instance(4, 2, [2.9, 1.5])  # not truncated to (1, 2)
-    assert make_instance(4, 2, [2.0, 1.0]).items == (1, 2)
-    # n and k follow the items' rule: integral values are stored as ints
-    inst = make_instance(4.0, 2.0, [2, 1])
-    assert (inst.n, inst.k) == (4, 2) and type(inst.n) is int and type(inst.k) is int
+    # n, k and items follow the integer rule: a float is not an integer, 2.0 included
+    with pytest.raises(TypeError):
+        make_instance(4, 2, [2.0, 1.0])
+    with pytest.raises(TypeError):
+        make_instance(4.0, 2.0, [2, 1])
     for n, k in [(2.5, 1), (4, 1.5), (float("inf"), 1), (4, float("nan")), ("4", 1)]:
-        with pytest.raises(DomainError):
+        with pytest.raises(TypeError):
             make_instance(n, k, [1])
     # booleans are not integers, although True == 1
     for n, k, items in [(16, True, [1]), (True, 1, [1]), (16, 1, [True]),
                         (16, 2, [np.True_, 3])]:
-        with pytest.raises(DomainError):
+        with pytest.raises(TypeError):
             make_instance(n, k, items)
+
+
+def test_instance_checks_itself():
+    # the record sorts its items, so the oracle's bisect reads the multiset
+    unsorted = Instance(8, 2, (6, 3))
+    assert unsorted.items == (3, 6) and make_instance is Instance
+    want = Oracle(make_instance(8, 2, [3, 6]), seed=4)
+    got = Oracle(unsorted, seed=4)
+    assert [got.query_batch(y, 40) for y in range(1, 9)] == \
+        [want.query_batch(y, 40) for y in range(1, 9)]
+    # numpy integers are stored as ints, so the record can be written
+    inst = Instance(np.int64(8), np.int64(2), np.array([6, 3]))
+    assert {type(inst.n), type(inst.k), *map(type, inst.items)} == {int}
+    assert Instance.from_json(inst.to_json()) == inst == unsorted
 
 
 def test_sample_instance_forced_cases():
