@@ -62,6 +62,9 @@ class ExperimentConfig:
     def validate(self):
         # only what the harness reads itself: each solver and generator
         # checks its own parameters (rho in NoiseModel, delta, c, n and k)
+        for name, value in (("instance", self.instance), ("algo", self.algo)):
+            if not isinstance(value, str):
+                raise TypeError(f"{name} must be a str, got {value!r}")
         if self.instance in GENERATORS:
             if self.n is None or self.k is None:
                 raise DomainError("a generated instance needs both n and k")

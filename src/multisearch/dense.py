@@ -6,6 +6,7 @@ be monotone, and read the t-th smallest element off as the least y with
 K_y >= t; t = 1 reads the whole profile and is charged all its queries.
 ``solve_naive`` is the repeated-binary-search baseline whose extra
 log(2 k log n) factor the walker removes; kept for benchmark comparison.
+Its probes read LEQ counts against a threshold, as the walker's steps do.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .kposition import _queries_for_exponent, estimate_k_position
+from .kposition import _queries_for_exponent, count_threshold, estimate_k_position
 from .model import DomainError, Oracle, check_delta, check_oracle_shape
 from .reports import SolverReport
 from .walker import ceil_log2
@@ -56,8 +57,11 @@ def solve_dense(oracle: Oracle, n: int, k: int, c: float = 1.0) -> SolverReport:
 def solve_naive(oracle: Oracle, n: int, k: int, delta: float) -> SolverReport:
     """Repeated binary search: for each t, find the least v with K(v) >= t.
 
-    Each probe estimates a k-position at confidence delta / (k * ceil(log2 n)),
-    so a union bound over all probes keeps the overall error below delta.
+    A probe of v draws m_per queries, enough to estimate K(v) at confidence
+    delta / (k * ceil(log2 n)), so a union bound over all probes keeps the
+    overall error below delta. Its estimate is >= t exactly when its LEQ
+    count reaches ``count_threshold(t, m_per, k, rho)``, computed once per
+    t. A probe lies in [1, n - 1], never at a forced end.
     """
     n, k = check_oracle_shape(oracle, n, k)
     if k > n:
@@ -71,10 +75,11 @@ def solve_naive(oracle: Oracle, n: int, k: int, delta: float) -> SolverReport:
     def values():
         # explicit bisection: C bisect takes Py_ssize_t bounds, and n may not fit
         for t in range(1, k + 1):
+            x_t = count_threshold(t, m_per, k, oracle.noise.rho)
             lo, hi = 1, n
             while lo < hi:
                 mid = (lo + hi) // 2
-                if estimate_k_position(oracle, mid, m_per).k_pos >= t:
+                if oracle.query_batch(mid, m_per) >= x_t:
                     hi = mid
                 else:
                     lo = mid + 1

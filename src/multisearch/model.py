@@ -13,7 +13,8 @@ The oracle never reveals which element was drawn. Solvers see only its
 query interface: ``n``, ``k``, ``noise.rho``, ``query_count``,
 ``query_batch`` (m queries of one value, returned as the number of LEQ
 answers), ``query_rows`` (rows of such batches for a few values, drawn
-row after row: a walker's block of leaf-chain steps it is sure to take)
+row after row: a walk step's endpoint checks, or a block of leaf-chain
+steps the walk is sure to take)
 and ``query``. Each answer is the next double of the oracle's generator,
 drawn in place in chunks of at most ``DRAW_BUFFER``, so the generator stands
 exactly ``query_count`` doubles past its seed. ``Oracle.instance`` and the
@@ -241,7 +242,7 @@ class Oracle:
         """
         ys, m, rows = self._charge(list(ys), m, rows)
         # segment i of the stream is m answers at probability ps[i]
-        ps = np.tile([self._leq_probability(y) for y in ys], rows)
+        ps = np.repeat([[self._leq_probability(y) for y in ys]], rows, axis=0).ravel()
         if not 0 < m * ROWS_2D <= DRAW_BUFFER:
             return np.array([self._count(p, m) for p in ps], dtype=np.int64).reshape(rows, len(ys))
         counts = np.empty(len(ps), dtype=np.int64)

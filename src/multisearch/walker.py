@@ -12,16 +12,21 @@ as its value is decided: once its chain depth is at least the number of
 steps left, it cannot climb off its leaf, so the remaining steps are not
 taken.
 
-``walk_step`` states one step for every node. ``find_tth`` calls it for
-tree nodes and takes the chain steps, nearly all of a walk's steps, itself:
-there both endpoint checks read one LEQ count against one threshold
-(``kposition.count_threshold``), with the same queries in the same order
-as ``walk_step``. It takes them in guaranteed-step blocks
-(``chain_block``): steps that can neither bring the walk back to its tree
-node nor meet the stop, whatever their answers, so a step-by-step walk
-takes every one of them. One ``Oracle.query_rows`` call draws a block's
-answers, and none past it. So a walk's queries are a prefix of those of
-m ``walk_step`` calls on the same oracle, and its value is theirs.
+``find_tth`` takes every step itself, as LEQ counts against two per-walk
+thresholds (``kposition.count_threshold``): X1 at the endpoint budget and
+X2 at the midpoint budget. A node's membership holds when the count of
+a - 1 is below X1 and the count of b is at least X1; a forced end (a = 1
+or b = n) holds its check and costs no queries, so the root always holds.
+A tree node that holds descends right when the midpoint's count is below
+X2; one that fails pops the walk's path of tree nodes. Chain steps are
+taken in guaranteed-step blocks (``chain_block``): steps that can neither
+bring the walk back to its tree node nor meet the stop, whatever their
+answers, so a step-by-step walk takes every one of them. One
+``Oracle.query_rows`` call draws a node's endpoint counts, a block's rows
+at a time, and none past it. ``walk_step`` states one step on
+k-position estimates; it is the reference: a walk asks its queries in
+its order, so they are a prefix of those of m ``walk_step`` calls on the
+same oracle, and its value is theirs.
 
 Because single estimates err with probability < 0.3 per step while the
 correct direction is taken with probability > 0.7, the walk drifts toward
@@ -47,11 +52,20 @@ STEP2_DELTA = 1.0 / 16.0
 
 @dataclass(frozen=True)
 class WalkNode:
-    """Interval [a, b]; chain_depth > 0 means this many steps down a leaf chain."""
+    """Interval [a, b], 1 <= a <= b; chain_depth > 0 means this many steps
+    down a leaf chain. It checks itself, by ``as_int``, and stores ints."""
 
     a: int
     b: int
     chain_depth: int = 0
+
+    def __post_init__(self):
+        a, b = as_int(self.a, "a", 1), as_int(self.b, "b", 1)
+        if a > b:
+            raise DomainError(f"a node needs a <= b, got [{a}, {b}]")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "chain_depth", as_int(self.chain_depth, "chain_depth"))
 
     @property
     def is_leaf(self) -> bool:
@@ -60,16 +74,16 @@ class WalkNode:
 
 @dataclass(frozen=True)
 class WalkConfig:
-    """Walk length m >= 0 plus per-step query budgets >= 1, all integers."""
+    """Walk length m >= 0 plus per-step query budgets >= 1, stored as ints."""
 
     m: int
     step1_m: int
     step2_m: int
 
     def __post_init__(self):
-        as_int(self.m, "m")
-        as_int(self.step1_m, "step1_m", 1)
-        as_int(self.step2_m, "step2_m", 1)
+        object.__setattr__(self, "m", as_int(self.m, "m"))
+        object.__setattr__(self, "step1_m", as_int(self.step1_m, "step1_m", 1))
+        object.__setattr__(self, "step2_m", as_int(self.step2_m, "step2_m", 1))
 
     @classmethod
     def for_problem(cls, n: int, k: int, delta: float, rho: float = 1.0) -> "WalkConfig":
@@ -109,6 +123,8 @@ def children(node: WalkNode) -> tuple[WalkNode, WalkNode]:
 
 def parent_of(node: WalkNode, n: int) -> WalkNode:
     """Tree parent of a non-root tree node, found by descent from the root."""
+    if (node.a, node.b) == (1, n):
+        raise DomainError(f"the root [1, {n}] has no parent")
     cur = WalkNode(1, n)
     while True:
         left, right = children(cur)
@@ -119,17 +135,16 @@ def parent_of(node: WalkNode, n: int) -> WalkNode:
 
 
 def walk_step(oracle: Oracle, node: WalkNode, t: int, cfg: WalkConfig) -> WalkNode:
-    """One walk step: membership check, then backtrack or descend."""
-    n = oracle.n
+    """One walk step for t in [1, k]: membership check, then backtrack or descend.
+
+    At the root both ends are forced and the check holds."""
     ka = estimate_k_position(oracle, node.a - 1, cfg.step1_m).k_pos
     kb = estimate_k_position(oracle, node.b, cfg.step1_m).k_pos
     if not (ka <= t - 1 and kb >= t):
-        # backtrack one edge; the root self-loops (consumes the step)
+        # backtrack one edge
         if node.chain_depth > 0:
             return WalkNode(node.a, node.b, node.chain_depth - 1)
-        if node.a == 1 and node.b == n:
-            return node
-        return parent_of(node, n)
+        return parent_of(node, oracle.n)
     if node.a < node.b:
         ku = estimate_k_position(oracle, midpoint(node), cfg.step2_m).k_pos
         left, right = children(node)
@@ -153,36 +168,37 @@ def chain_block(depth: int, left: int) -> int:
 def find_tth(oracle: Oracle, t: int, cfg: WalkConfig) -> Optional[int]:
     """Walk cfg.m steps from the root, or until the value is decided;
     return the leaf value, or None on failure."""
-    n, k = oracle.n, oracle.k
+    if not isinstance(cfg, WalkConfig):
+        raise TypeError(f"cfg must be a WalkConfig, got {cfg!r}")
+    n, k, rho = oracle.n, oracle.k, oracle.noise.rho
     t = as_int(t, "t", 1)
     if t > k:
         raise DomainError(f"t must be in [1, {k}], got {t}")
-    # on a chain node [a, a] walk_step's checks ka <= t - 1 and kb >= t
-    # are x_a < x_t and x_b >= x_t, drawn in that order; a forced end
-    # (a = 1 or a = n) holds its check and costs no queries
-    m1, x_t = cfg.step1_m, count_threshold(t, cfg.step1_m, k, oracle.noise.rho)
-    # node is a tree node; depth > 0 means that many steps down its chain
-    node, depth = WalkNode(1, n), 0
-    # left counts the steps still to take
-    left = cfg.m
-    while left:
-        if not depth:
-            node = walk_step(oracle, node, t, cfg)
-            node, depth = WalkNode(node.a, node.b), node.chain_depth
-            left -= 1
-            continue
-        if depth >= left:
-            # leaving the leaf takes depth + 1 backtracks, more than the
-            # steps left: the full walk ends on this leaf's chain
-            break
-        # the next b chain steps are all taken: one call draws their
-        # unforced checks, row by row; a step goes down when both hold
-        a, b = node.a, chain_block(depth, left)
-        ys = [y for y in (a - 1, a) if 0 < y < n]
-        down = ((oracle.query_rows(ys, m1, b) >= x_t) == [y == a for y in ys]).all(axis=1)
-        depth += 2 * int(down.sum()) - b
-        left -= b
-    return node.a if node.is_leaf else None
+    # walk_step's checks k_pos <= t - 1 and k_pos >= t, as counts
+    m1, x1 = cfg.step1_m, count_threshold(t, cfg.step1_m, k, rho)
+    m2, x2 = cfg.step2_m, count_threshold(t, cfg.step2_m, k, rho)
+    # tree nodes from the root; depth > 0 means that many steps down the
+    # last one's chain; left counts the steps still to take
+    path, depth, left = [(1, n)], 0, cfg.m
+    # at depth >= left, leaving the leaf takes depth + 1 backtracks, more
+    # than the steps left: the full walk ends on this leaf's chain
+    while left > depth:
+        a, b = path[-1]
+        # a chain draws a block of steps it is sure to take, row by row
+        rows = chain_block(depth, left) if depth else 1
+        ys = [y for y in (a - 1, b) if 0 < y < n]
+        holds = ((oracle.query_rows(ys, m1, rows) >= x1) == [y == b for y in ys]).all(axis=1)
+        left -= rows
+        if not (depth or holds[0]):
+            # backtrack; the root never gets here, both its ends are forced
+            path.pop()
+        elif a == b:
+            depth += 2 * int(holds.sum()) - rows
+        else:
+            u = (a + b) // 2
+            path.append((u + 1, b) if oracle.query_batch(u, m2) < x2 else (a, u))
+    a, b = path[-1]
+    return a if a == b else None
 
 
 def solve_walker(oracle: Oracle, n: int, k: int, delta: float) -> SolverReport:

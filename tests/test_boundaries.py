@@ -11,13 +11,14 @@ import pytest
 
 from multisearch import dense, model, walker
 from multisearch.analysis import estimator_success_prob, ml_decode
-from multisearch.bench import fit_scaling
+from multisearch.bench import ExperimentConfig, fit_scaling
 from multisearch.dense import solve_dense, solve_naive
 from multisearch.instances import bin_instance, cluster_instance
 from multisearch.kposition import count_threshold, estimate_from_counts, queries_for_confidence
 from multisearch.model import (DomainError, Instance, NoiseModel, Oracle, Response,
                                k_position_true, make_instance, sample_instance)
-from multisearch.walker import WalkConfig, choose_walk_length, solve_walker
+from multisearch.walker import (WalkConfig, WalkNode, choose_walk_length, find_tth,
+                                parent_of, solve_walker)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "multisearch"
@@ -104,6 +105,38 @@ def test_numpy_integer_seed_is_the_int_seed():
         [want.query_batch(y, 50) for y in (2, 3, 5, 6, 8)]
 
 
+def test_numpy_integer_walk_config_keeps_ints():
+    cfg = WalkConfig(np.int64(3), np.int32(2), np.uint8(2))
+    assert cfg == WalkConfig(3, 2, 2)
+    assert all(type(v) is int for v in (cfg.m, cfg.step1_m, cfg.step2_m))
+
+
+@pytest.mark.parametrize("rho", [1.0, 0.75])
+def test_solves_take_no_estimate_based_step(monkeypatch, rho):
+    # the walker and the naive bisection read counts against thresholds:
+    # they reach neither the reference step nor the estimate pipeline, and
+    # build no WalkNode, yet give the same reports from the same stream
+    inst = make_instance(64, 4, [5, 20, 20, 61])
+    solves = [lambda o: solve_walker(o, 64, 4, 0.1), lambda o: solve_naive(o, 64, 4, 0.1)]
+    want = []
+    for solve in solves:
+        oracle = Oracle(inst, NoiseModel(rho), seed=11)
+        want.append((solve(oracle), oracle.query_batch(1, 64)))
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a solve reached an estimate-based step")
+
+    for owner, attr in [(walker, "walk_step"), (walker, "parent_of"), (walker, "WalkNode"),
+                        (walker, "estimate_k_position"), (dense, "estimate_k_position")]:
+        monkeypatch.setattr(owner, attr, unreachable)
+    for solve, (report, after) in zip(solves, want):
+        oracle = Oracle(inst, NoiseModel(rho), seed=11)
+        got = solve(oracle)
+        assert (got.recovered, got.per_target, got.total_queries) == \
+            (report.recovered, report.per_target, report.total_queries)
+        assert oracle.query_batch(1, 64) == after
+
+
 def test_perfbench_tracer_wraps_the_package(monkeypatch):
     # perfbench/tracing.py wraps these names as the package's callers resolve
     # them; a rename must fail here, not only in the benchmark
@@ -114,8 +147,8 @@ def test_perfbench_tracer_wraps_the_package(monkeypatch):
                (dense, "estimate_k_position"), (walker, "walk_step"),
                (walker, "parent_of"), (dense, "repair_monotone")]
     originals = [getattr(owner, attr) for owner, attr in wrapped]
-    # the tracer counts queries through query_batch only; a walk's chain
-    # blocks ask theirs through query_rows, counted here
+    # the tracer counts queries through query_batch only; a walk's endpoint
+    # checks ask theirs through query_rows, counted here
     query_rows, rows_queries = Oracle.query_rows, []
 
     def counted_query_rows(self, ys, m, rows):
@@ -132,9 +165,10 @@ def test_perfbench_tracer_wraps_the_package(monkeypatch):
         walker_oracle = Oracle(make_instance(8, 2, [3, 6]), seed=3)
         solve_walker(walker_oracle, 8, 2, 0.1)
     assert [getattr(owner, attr) for owner, attr in wrapped] == originals
-    # parent_of runs only on a backtrack, which a trial this small may not take
-    assert {"model.query_batch", "kposition.estimate", "walker.walk_step",
-            "dense.repair"} <= set(tracer.calls)
+    # the walker takes its steps itself: walk_step and parent_of are only
+    # the reference, and the tracer's spans around them stay empty
+    assert {"model.query_batch", "kposition.estimate", "dense.repair"} <= set(tracer.calls)
+    assert tracer.calls["walker.walk_step"] == tracer.calls["walker.parent_of"] == 0
     assert tracer.counts["queries"] + sum(rows_queries) == \
         dense_oracle.query_count + walker_oracle.query_count > 0
     assert sum(rows_queries) > 0
@@ -170,6 +204,10 @@ def test_perfbench_selftest_passes():
     (lambda: count_threshold(0, 8, 2), "t=0"),
     (lambda: solve_dense(Oracle(INST), 8, 2, 1e308), r"c=1e\+308"),
     (lambda: solve_dense(Oracle(make_instance(1, 2, [1, 1])), 1, 2, float("inf")), "c=inf"),
+    (lambda: WalkNode(5, 2), r"\[5, 2\]"),
+    (lambda: WalkNode(0, 2), "a=0"),
+    (lambda: WalkNode(3, 3, -1), "chain_depth=-1"),
+    (lambda: parent_of(WalkNode(1, 8), 8), "no parent"),
     *[(lambda make=make, seed=seed: make(seed), "seed")
       for make in SEEDED.values() for seed in (-1, 2**64)],
 ], ids=["walk_length-n=0", "for_problem-n=0", "success_prob-k=0", "success_prob-rho=0.5",
@@ -177,7 +215,8 @@ def test_perfbench_selftest_passes():
         "count_threshold-rho=0.5", "count_threshold-k=0", "estimate_from_counts-rho=0.5",
         "estimate_from_counts-m=0", "queries_for_confidence-rho=0.5", "ml_decode-answer=str",
         "Instance-2_of_3_items", "Instance-item=0", "Instance-item=12", "count_threshold-t=0",
-        "dense-c=1e308", "dense-n=1-c=inf",
+        "dense-c=1e308", "dense-n=1-c=inf", "WalkNode-a>b", "WalkNode-a=0",
+        "WalkNode-chain_depth=-1", "parent_of-root",
         *[f"{name}-seed={seed}" for name in SEEDED for seed in ("-1", "2^64")]])
 def test_out_of_domain_arguments_raise_domain_error(call, named):
     with pytest.raises(DomainError, match=named):
@@ -215,6 +254,11 @@ def test_out_of_domain_arguments_raise_domain_error(call, named):
     lambda: count_threshold(True, 8, 2),
     lambda: Oracle(INST, 0.9),
     lambda: Oracle((8, 2, (3, 6))),
+    lambda: find_tth(Oracle(INST), 1, None),
+    lambda: WalkNode(2.0, 3),
+    lambda: WalkNode(1, 1, True),
+    lambda: ExperimentConfig(8, 2, instance=None).validate(),
+    lambda: ExperimentConfig(8, 2, algo=["walker"]).validate(),
     *[lambda make=make, seed=seed: make(seed) for make in SEEDED.values() for seed in (True, 1.5)],
 ], ids=["queries_for_confidence-k=2.5", "queries_for_confidence-k=True",
         "success_prob-k=2.5", "success_prob-m=2.5", "success_prob-m=True",
@@ -226,6 +270,8 @@ def test_out_of_domain_arguments_raise_domain_error(call, named):
         "make_instance-n=4.0", "make_instance-items=2.0", "Instance-item=2.5",
         "ml_decode-y=2.5", "ml_decode-y=True", "count_threshold-t=1.5",
         "count_threshold-t=True", "Oracle-noise=0.9", "Oracle-instance=tuple",
+        "find_tth-cfg=None", "WalkNode-a=2.0", "WalkNode-chain_depth=True",
+        "ExperimentConfig-instance=None", "ExperimentConfig-algo=list",
         *[f"{name}-seed={seed}" for name in SEEDED for seed in ("True", "1.5")]])
 def test_non_integer_k_or_m_raises_type_error(call):
     # n, k, items, m, y, t, k_true and seeds count values, hidden elements,

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import numpy as np
@@ -6,8 +7,9 @@ import pytest
 
 from multisearch.dense import (multiset_from_profile, repair_monotone,
                                solve_dense, solve_naive)
-from multisearch.kposition import queries_for_confidence
-from multisearch.model import (DomainError, Oracle, k_position_true,
+from multisearch.kposition import (_queries_for_exponent, estimate_k_position,
+                                   queries_for_confidence)
+from multisearch.model import (DomainError, NoiseModel, Oracle, k_position_true,
                                make_instance)
 from multisearch.seeds import derive_seed
 from multisearch.walker import WalkConfig, ceil_log2, find_tth, solve_walker
@@ -92,6 +94,40 @@ def test_solve_naive_beyond_machine_integers():
     inst = make_instance(n, 2, [5, n - 3])
     r = solve_naive(Oracle(inst, seed=4), n, 2, 0.1)
     assert r.recovered == [5, n - 3]
+
+
+def _reference_naive(oracle, n, k, delta):
+    """solve_naive's bisection on k-position estimates: its values and the
+    queries each one cost."""
+    m_per = _queries_for_exponent(k, math.log2(k * max(1, ceil_log2(n))) - math.log2(delta),
+                                  oracle.noise.rho)
+    out = []
+    for t in range(1, k + 1):
+        before, lo, hi = oracle.query_count, 1, n
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if estimate_k_position(oracle, mid, m_per).k_pos >= t:
+                hi = mid
+            else:
+                lo = mid + 1
+        out.append((t, lo, oracle.query_count - before))
+    return out
+
+
+@pytest.mark.parametrize("rho", [1.0, 0.75])
+@pytest.mark.parametrize("n, items", [(16, [3, 10]), (64, [1, 20, 20, 64]),
+                                      (10**400, [5, 10**399, 10**400 - 3])],
+                         ids=["n=16", "n=64", "n=10^400"])
+def test_solve_naive_matches_estimate_bisection(rho, n, items):
+    # a probe's count against the threshold is the estimate's rank check:
+    # same values, same queries per target and the same stream after
+    inst = make_instance(n, len(items), items)
+    for seed in range(3):
+        fast = Oracle(inst, NoiseModel(rho), seed=derive_seed(23, seed))
+        ref = Oracle(inst, NoiseModel(rho), seed=derive_seed(23, seed))
+        got = solve_naive(fast, n, len(items), 0.1)
+        assert got.per_target == _reference_naive(ref, n, len(items), 0.1)
+        assert fast.query_batch(1, 64) == ref.query_batch(1, 64)
 
 
 def test_naive_costs_more_than_walker():

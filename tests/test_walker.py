@@ -101,23 +101,25 @@ def test_backtrack_reaches_root():
 def _reference_find_tth(oracle, t, cfg, stop=False):
     """find_tth as plain walk_step calls: cfg.m of them, or with ``stop``
     only until the chain depth reaches the steps left. Also returns the
-    chain backtracks and the steps taken."""
-    node, chain_backtracks, steps = WalkNode(1, oracle.n), 0, 0
+    chain backtracks, the tree backtracks and the steps taken."""
+    node, chain_backtracks, tree_backtracks, steps = WalkNode(1, oracle.n), 0, 0, 0
     for left in range(cfg.m, 0, -1):
         if stop and node.chain_depth >= left:
             break
         nxt = walk_step(oracle, node, t, cfg)
         chain_backtracks += nxt.chain_depth < node.chain_depth
+        tree_backtracks += nxt.b - nxt.a > node.b - node.a
         node, steps = nxt, steps + 1
-    return (node.a if node.is_leaf else None), chain_backtracks, steps
+    return (node.a if node.is_leaf else None), chain_backtracks, tree_backtracks, steps
 
 
 @pytest.mark.parametrize("rho", [1.0, 0.75])
 def test_find_tth_matches_walk_step_loop(rho):
-    # inline chain steps draw the same queries in the same order as
+    # find_tth's steps draw the same queries in the same order as
     # walk_step, up to the stop: same value, same query count, same stream
     # position after as the stopped reference; and the full-length walk on
-    # the same answers reaches the same value
+    # the same answers reaches the same value. Tree backtracks check the
+    # walk's path of tree nodes against parent_of
     tiny = WalkConfig(m=200, step1_m=3, step2_m=3)
     cases = [(make_instance(16, 4, [1, 5, 9, 16]), _cfg(16, 4, rho=rho), 3),
              (make_instance(1, 2, [1, 1]), _cfg(1, 2, rho=rho), 3),
@@ -129,7 +131,7 @@ def test_find_tth_matches_walk_step_loop(rho):
              (make_instance(13, 4, [1, 5, 9, 13]), tiny, 60),
              (make_instance(16, 4, [1, 5, 9, 16]), WalkConfig(m=13, step1_m=3, step2_m=3), 60),
              (make_instance(13, 4, [1, 5, 9, 13]), WalkConfig(m=13, step1_m=3, step2_m=3), 60)]
-    chain_backtracks = stopped_early = 0
+    chain_backtracks = tree_backtracks = stopped_early = 0
     for case, (inst, cfg, seeds) in enumerate(cases):
         for t in range(1, inst.k + 1):
             for i in range(seeds):
@@ -137,14 +139,16 @@ def test_find_tth_matches_walk_step_loop(rho):
                 fast = Oracle(inst, NoiseModel(rho), seed=seed)
                 ref = Oracle(inst, NoiseModel(rho), seed=seed)
                 full = Oracle(inst, NoiseModel(rho), seed=seed)
-                expected, backtracks, steps = _reference_find_tth(ref, t, cfg, stop=True)
-                chain_backtracks += backtracks
+                expected, chain, tree, steps = _reference_find_tth(ref, t, cfg, stop=True)
+                chain_backtracks += chain
+                tree_backtracks += tree
                 stopped_early += steps < cfg.m
                 assert find_tth(fast, t, cfg) == expected
                 assert fast.query_count == ref.query_count
                 assert fast.query_batch(1, 64) == ref.query_batch(1, 64)
                 assert _reference_find_tth(full, t, cfg)[0] == expected
     assert chain_backtracks > 0
+    assert tree_backtracks > 0
     assert stopped_early > 0
 
 
@@ -272,8 +276,6 @@ def _correct_move(node, target, n, walk_m):
     if not inside:
         if d > 0:
             return WalkNode(a, b, d - 1)
-        if (a, b) == (1, n):
-            return node
         return parent_of(node, n)
     if a < b:
         left, right = children(node)
