@@ -20,7 +20,7 @@ import math
 from bisect import bisect_right
 from itertools import combinations_with_replacement
 
-from .kposition import estimate_from_counts
+from .kposition import _estimate
 from .model import (CapacityError, DomainError, Response, Transcript, as_int,
                     check_n_k, check_rho, leq_probability)
 
@@ -71,7 +71,8 @@ def estimator_success_prob(k: int, m: int, k_true: int, rho: float = 1.0) -> flo
     """Exact probability that the m-query estimate returns k_true.
 
     Sums the binomial law of the LEQ count over exactly those counts the
-    shared rounding pipeline maps back to k_true.
+    shared rounding pipeline maps back to k_true; the arguments are
+    checked once, before the sum.
     """
     k, m, rho = as_int(k, "k", 1), as_int(m, "m", 1), check_rho(rho)
     k_true = as_int(k_true, "k_true")
@@ -79,7 +80,7 @@ def estimator_success_prob(k: int, m: int, k_true: int, rho: float = 1.0) -> flo
         raise DomainError(f"k_true must be in [0, {k}], got {k_true}")
     p = leq_probability(k_true, k, rho)
     return math.fsum(binom_pmf(x, m, p) for x in range(m + 1)
-                     if estimate_from_counts(x, m, k, rho) == k_true)
+                     if _estimate(x, m, k, rho) == k_true)
 
 
 def ml_decode(transcript: Transcript, n: int, k: int, rho: float = 1.0) -> tuple[int, ...]:

@@ -58,14 +58,26 @@ def round_to_grid(p: float, k: int) -> int:
 
 
 def estimate_from_counts(x: int, m: int, k: int, rho: float = 1.0) -> int:
-    """The k-position read off x LEQ answers out of m queries.
+    """The k-position read off x LEQ answers out of m queries, 0 <= x <= m.
 
-    The de-biased fraction is rounded to the 1/k grid, whose clamp takes a
-    fraction outside [0, 1] to 0 or k. This single rounding pipeline is
-    shared by the live estimator and the exact success-probability oracle
-    in ``analysis``, so the two can never disagree.
+    Checks its arguments, then reads the count by ``_estimate``.
     """
     k, m, rho = as_int(k, "k", 1), as_int(m, "m", 1), check_rho(rho)
+    x = as_int(x, "x")
+    if x > m:
+        raise DomainError(f"x must be in [0, {m}], got {x}")
+    return _estimate(x, m, k, rho)
+
+
+def _estimate(x: int, m: int, k: int, rho: float) -> int:
+    """The rounding pipeline, for arguments already checked.
+
+    The de-biased fraction is rounded to the 1/k grid, whose clamp takes a
+    fraction outside [0, 1] to 0 or k. This is the one statement of the
+    rounding: the live estimator, ``count_threshold`` and the exact
+    success-probability oracle in ``analysis`` all read counts through it,
+    so they can never disagree.
+    """
     return round_to_grid((x / m - (1.0 - rho)) / (2.0 * rho - 1.0), k)
 
 
@@ -74,11 +86,11 @@ def count_threshold(t: int, m: int, k: int, rho: float = 1.0) -> int:
 
     The estimate is monotone in the count, so for one (t, m, k, rho) the
     checks k_pos <= t - 1 and k_pos >= t become x < X_t and x >= X_t.
-    The threshold is found by bisection on ``estimate_from_counts``, so
-    the rounding is still stated only there.
+    The arguments are checked once; the threshold is then found by
+    bisection on ``_estimate``, so the rounding is still stated only there.
     """
     t, k, m, rho = as_int(t, "t", 1), as_int(k, "k", 1), as_int(m, "m", 1), check_rho(rho)
-    return bisect_left(range(m + 1), t, key=lambda x: estimate_from_counts(x, m, k, rho))
+    return bisect_left(range(m + 1), t, key=lambda x: _estimate(x, m, k, rho))
 
 
 def estimate_k_position(oracle: Oracle, y: int, m: int) -> KPosEstimate:
@@ -87,7 +99,8 @@ def estimate_k_position(oracle: Oracle, y: int, m: int) -> KPosEstimate:
     y = 0 and y = n are analytically forced (0 and k) and cost zero
     queries. Only y and m are checked here, by ``model.as_int``; any other
     y goes to ``Oracle.query_batch``, which rejects one above n uncharged.
-    The oracle's k and rho were checked when it was built.
+    The oracle's k and rho were checked when it was built, and its count
+    lies in [0, m], so the count is read by ``_estimate`` unchecked.
     """
     y, m = as_int(y, "y"), as_int(m, "m", 1)
     if y == 0:
@@ -95,4 +108,4 @@ def estimate_k_position(oracle: Oracle, y: int, m: int) -> KPosEstimate:
     if y == oracle.n:
         return KPosEstimate(oracle.k)
     x = oracle.query_batch(y, m)
-    return KPosEstimate(estimate_from_counts(x, m, oracle.k, oracle.noise.rho))
+    return KPosEstimate(_estimate(x, m, oracle.k, oracle.noise.rho))

@@ -10,14 +10,15 @@ noise channel: the oracle samples it, the exact oracles in ``analysis``
 evaluate it, and ``kposition`` de-biases through its inverse.
 
 The oracle never reveals which element was drawn. Solvers see only its
-query interface: ``n``, ``k``, ``noise.rho``, ``query_count``,
-``query_batch`` (m queries of one value, returned as the number of LEQ
-answers), ``query_rows`` (rows of such batches for a few values, drawn
-row after row: a walk step's endpoint checks, or a block of leaf-chain
-steps the walk is sure to take)
-and ``query``. Each answer is the next double of the oracle's generator,
-drawn in place in chunks of at most ``DRAW_BUFFER``, so the generator stands
-exactly ``query_count`` doubles past its seed. ``Oracle.instance`` and the
+query interface: ``n``, ``k``, ``noise.rho``, ``query_count`` and
+``query_rows`` (rows of m-query batches for a few values, drawn row after
+row: a walk step's endpoint checks, or a block of leaf-chain steps the
+walk is sure to take), the one path that checks, charges, draws and
+counts, and its two views ``query_batch`` (m queries of one value,
+returned as the number of LEQ answers) and ``query``. Each answer is the
+next double of the oracle's generator, drawn in place in chunks of at
+most ``DRAW_BUFFER``, so the generator stands exactly ``query_count``
+doubles past its seed. ``Oracle.instance`` and the
 ground-truth helper ``k_position_true`` are for the harness and tests only.
 Each argument rule is stated once, here, and returns the value it
 accepted: ``as_int`` (every integer), ``check_seed``, ``check_n_k``,
@@ -60,10 +61,10 @@ Transcript = list[tuple[int, Response]]
 # (64 KiB), so an estimate's memory stays in cache whatever its query budget
 DRAW_BUFFER = 1 << 13
 
-# query_rows draws and counts whole segments with one 2-D compare when at
-# least this many fit in the buffer: the 2-D count costs about 3x per double what
-# the 1-D count does, but saves a Python call per segment; measured on a
-# 2-core x86-64 box, the two meet near 1,700 doubles a segment
+# query_rows draws and counts whole batches with one 2-D compare when at
+# least this many of the call's batches fit in one draw: the 2-D count costs
+# about 3x per double what the 1-D count does, but saves a Python call per
+# batch; measured on a 2-core x86-64 box, the two meet near 1,700 doubles a batch
 ROWS_2D = 5
 
 
@@ -220,64 +221,51 @@ class Oracle:
     def query_batch(self, y: int, m: int) -> int:
         """Perform m independent queries of y; returns the number of LEQ answers.
 
-        The answers are the same stream as m calls of ``query(y)``. They are
-        drawn in place into a buffer of DRAW_BUFFER doubles, a chunk at a
-        time, and counted, so the memory is O(DRAW_BUFFER) whatever m is.
-        y and m are checked before anything is drawn; a bool is not taken
-        as an integer.
+        ``query_rows([y], m, 1)`` read as an int: the same checks, charge
+        and stream as m calls of ``query(y)``.
         """
-        (y,), m, _ = self._charge([y], m, 1)
-        return self._count(self._leq_probability(y), m)
+        return self.query_rows([y], m, 1).item()
 
     def query_rows(self, ys, m: int, rows: int) -> np.ndarray:
-        """``rows`` rows of ``query_batch(y, m)`` for each y in ``ys``.
+        """``rows`` rows of m queries of each y in ``ys``: the one query path.
 
         Returns the LEQ counts as an int64 array of shape (rows, len(ys)).
-        The answers are the same stream as those query_batch calls made
-        row after row, and ``rows * len(ys) * m`` queries are charged.
-        Every y, m and rows is checked before anything is drawn; a bool
-        is not taken as an integer. Where ROWS_2D batches fit in the buffer,
-        as many whole batches as fit are drawn and counted at a time. The
-        memory is O(DRAW_BUFFER + rows * len(ys)).
+        Every y, m and rows is checked before anything is drawn: a bool or
+        float raises TypeError, a y outside [1, n] or a negative m or rows
+        DomainError, and a rejected call charges nothing. Then
+        ``rows * len(ys) * m`` queries are charged and drawn, batch after
+        batch and row after row, in place into the buffer of DRAW_BUFFER
+        doubles. Where ROWS_2D of the call's batches fit in one draw, as
+        many whole batches as fit are drawn and counted at a time; else
+        each batch is counted a buffer at a time. The memory is
+        O(DRAW_BUFFER + rows * len(ys)).
         """
-        ys, m, rows = self._charge(list(ys), m, rows)
-        # segment i of the stream is m answers at probability ps[i]
-        ps = np.repeat([[self._leq_probability(y) for y in ys]], rows, axis=0).ravel()
-        if not 0 < m * ROWS_2D <= DRAW_BUFFER:
-            return np.array([self._count(p, m) for p in ps], dtype=np.int64).reshape(rows, len(ys))
-        counts = np.empty(len(ps), dtype=np.int64)
-        per_draw = DRAW_BUFFER // m
-        for i in range(0, len(ps), per_draw):
-            seg = ps[i:i + per_draw]
-            drawn = self._buf[:len(seg) * m]
-            self._rng.random(out=drawn)
-            counts[i:i + len(seg)] = (drawn.reshape(len(seg), m) < seg[:, None]).sum(axis=1)
-        return counts.reshape(rows, len(ys))
-
-    def _charge(self, ys: list, m: int, rows: int) -> tuple[list[int], int, int]:
-        """ys, m and rows as ints, once checked; then charges their queries.
-
-        A bool or float raises TypeError, a y outside [1, n] or a negative
-        m or rows DomainError, and a rejected call charges nothing."""
         ys = [as_int(y, "y", 1) for y in ys]
         m, rows = as_int(m, "m"), as_int(rows, "rows")
         if any(y > self.n for y in ys):
             raise DomainError(f"y must be in [1, {self.n}], got {ys}")
         self.query_count += rows * len(ys) * m
-        return ys, m, rows
-
-    def _leq_probability(self, y: int) -> float:
-        return leq_probability(bisect_right(self.instance.items, y), self.k, self.noise.rho)
-
-    def _count(self, p: float, m: int) -> int:
-        """LEQ answers among the next m draws at probability p; uncharged."""
-        x = 0
-        while m:
-            drawn = self._buf[:min(m, DRAW_BUFFER)]
-            self._rng.random(out=drawn)
-            x += int(np.count_nonzero(drawn < p))
-            m -= len(drawn)
-        return x
+        items, k, rho = self.instance.items, self.k, self.noise.rho
+        # batch i of the stream is m answers at probability ps[i]
+        ps = [leq_probability(bisect_right(items, y), k, rho) for y in ys] * rows
+        counts = np.empty(len(ps), dtype=np.int64)
+        if len(ps) >= ROWS_2D and 0 < m * ROWS_2D <= DRAW_BUFFER:
+            ps, per_draw = np.array(ps), DRAW_BUFFER // m
+            for i in range(0, len(ps), per_draw):
+                seg = ps[i:i + per_draw]
+                drawn = self._buf[:len(seg) * m]
+                self._rng.random(out=drawn)
+                counts[i:i + len(seg)] = (drawn.reshape(len(seg), m) < seg[:, None]).sum(axis=1)
+        else:
+            for i, p in enumerate(ps):
+                x, left = 0, m
+                while left:
+                    drawn = self._buf[:min(left, DRAW_BUFFER)]
+                    self._rng.random(out=drawn)
+                    x += int(np.count_nonzero(drawn < p))
+                    left -= len(drawn)
+                counts[i] = x
+        return counts.reshape(rows, len(ys))
 
     def query(self, y: int) -> Response:
         return Response.LEQ if self.query_batch(y, 1) else Response.GT

@@ -122,16 +122,20 @@ def children(node: WalkNode) -> tuple[WalkNode, WalkNode]:
 
 
 def parent_of(node: WalkNode, n: int) -> WalkNode:
-    """Tree parent of a non-root tree node, found by descent from the root."""
+    """Tree parent of a non-root tree node, found by descent from the root.
+
+    DomainError for the root, and for an interval that is not a node of
+    the tree over [1, n]: the descent reaches a leaf without meeting it."""
     if (node.a, node.b) == (1, n):
         raise DomainError(f"the root [1, {n}] has no parent")
     cur = WalkNode(1, n)
-    while True:
+    while not cur.is_leaf:
         left, right = children(cur)
         nxt = left if node.b <= left.b else right
         if nxt.a == node.a and nxt.b == node.b:
             return cur
         cur = nxt
+    raise DomainError(f"[{node.a}, {node.b}] is not a node of the tree over [1, {n}]")
 
 
 def walk_step(oracle: Oracle, node: WalkNode, t: int, cfg: WalkConfig) -> WalkNode:

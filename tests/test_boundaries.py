@@ -147,8 +147,8 @@ def test_perfbench_tracer_wraps_the_package(monkeypatch):
                (dense, "estimate_k_position"), (walker, "walk_step"),
                (walker, "parent_of"), (dense, "repair_monotone")]
     originals = [getattr(owner, attr) for owner, attr in wrapped]
-    # the tracer counts queries through query_batch only; a walk's endpoint
-    # checks ask theirs through query_rows, counted here
+    # every query goes through query_rows, counted here; the tracer counts
+    # only those asked through query_batch, a view of query_rows
     query_rows, rows_queries = Oracle.query_rows, []
 
     def counted_query_rows(self, ys, m, rows):
@@ -169,9 +169,8 @@ def test_perfbench_tracer_wraps_the_package(monkeypatch):
     # the reference, and the tracer's spans around them stay empty
     assert {"model.query_batch", "kposition.estimate", "dense.repair"} <= set(tracer.calls)
     assert tracer.calls["walker.walk_step"] == tracer.calls["walker.parent_of"] == 0
-    assert tracer.counts["queries"] + sum(rows_queries) == \
-        dense_oracle.query_count + walker_oracle.query_count > 0
-    assert sum(rows_queries) > 0
+    assert sum(rows_queries) == dense_oracle.query_count + walker_oracle.query_count
+    assert 0 < tracer.counts["queries"] <= sum(rows_queries)
 
 
 def test_perfbench_selftest_passes():
@@ -208,6 +207,11 @@ def test_perfbench_selftest_passes():
     (lambda: WalkNode(0, 2), "a=0"),
     (lambda: WalkNode(3, 3, -1), "chain_depth=-1"),
     (lambda: parent_of(WalkNode(1, 8), 8), "no parent"),
+    (lambda: parent_of(WalkNode(20, 30), 16), r"\[20, 30\] is not a node of the tree over \[1, 16\]"),
+    (lambda: parent_of(WalkNode(2, 5), 16), r"\[2, 5\] is not a node of the tree over \[1, 16\]"),
+    (lambda: parent_of(WalkNode(2, 3), 16), r"\[2, 3\] is not a node of the tree over \[1, 16\]"),
+    (lambda: estimate_from_counts(5, 4, 2), r"x must be in \[0, 4\], got 5"),
+    (lambda: estimate_from_counts(-3, 4, 2), "x=-3"),
     *[(lambda make=make, seed=seed: make(seed), "seed")
       for make in SEEDED.values() for seed in (-1, 2**64)],
 ], ids=["walk_length-n=0", "for_problem-n=0", "success_prob-k=0", "success_prob-rho=0.5",
@@ -216,7 +220,9 @@ def test_perfbench_selftest_passes():
         "estimate_from_counts-m=0", "queries_for_confidence-rho=0.5", "ml_decode-answer=str",
         "Instance-2_of_3_items", "Instance-item=0", "Instance-item=12", "count_threshold-t=0",
         "dense-c=1e308", "dense-n=1-c=inf", "WalkNode-a>b", "WalkNode-a=0",
-        "WalkNode-chain_depth=-1", "parent_of-root",
+        "WalkNode-chain_depth=-1", "parent_of-root", "parent_of-[20,30]-outside",
+        "parent_of-[2,5]-straddles", "parent_of-[2,3]-straddles", "estimate_from_counts-x>m",
+        "estimate_from_counts-x<0",
         *[f"{name}-seed={seed}" for name in SEEDED for seed in ("-1", "2^64")]])
 def test_out_of_domain_arguments_raise_domain_error(call, named):
     with pytest.raises(DomainError, match=named):
@@ -231,6 +237,8 @@ def test_out_of_domain_arguments_raise_domain_error(call, named):
     lambda: estimator_success_prob(2, True, 1),
     lambda: count_threshold(1, 4.0, 2),
     lambda: estimate_from_counts(3, 4, 2.0),
+    lambda: estimate_from_counts(2.5, 4, 2),
+    lambda: estimate_from_counts(True, 4, 2),
     lambda: choose_walk_length(8.0, 0.1),
     lambda: WalkConfig.for_problem(8.0, 2, 0.1),
     lambda: choose_walk_length(True, 0.1),
@@ -262,7 +270,8 @@ def test_out_of_domain_arguments_raise_domain_error(call, named):
     *[lambda make=make, seed=seed: make(seed) for make in SEEDED.values() for seed in (True, 1.5)],
 ], ids=["queries_for_confidence-k=2.5", "queries_for_confidence-k=True",
         "success_prob-k=2.5", "success_prob-m=2.5", "success_prob-m=True",
-        "count_threshold-m=4.0", "estimate_from_counts-k=2.0", "walk_length-n=8.0",
+        "count_threshold-m=4.0", "estimate_from_counts-k=2.0", "estimate_from_counts-x=2.5",
+        "estimate_from_counts-x=True", "walk_length-n=8.0",
         "for_problem-n=8.0", "walk_length-n=True", "sample_instance-n=8.5",
         "NoiseModel-rho=True", "cluster-n=8.0", "bins-n=16.0", "bins-k=4.0",
         "ml_decode-rho=True", "ml_decode-n=4.0", "success_prob-k_true=True", "dense-c=True",

@@ -239,7 +239,10 @@ def test_oracle_draws_only_the_answers_it_counts():
              lambda: o.query_rows([8], DRAW_BUFFER // ROWS_2D, 11),
              lambda: o.query_rows([4, 12], DRAW_BUFFER // ROWS_2D + 1, 3),
              lambda: o.query_batch(8, 2 * DRAW_BUFFER + 3),
-             lambda: o.query_rows([2], 3000, 4), lambda: o.query_rows([2, 16], 7, 40)]
+             lambda: o.query_rows([2], 3000, 4), lambda: o.query_rows([2, 16], 7, 40),
+             # at m = 512 one draw holds 16 batches: 4 batches are counted
+             # one at a time, 5 with one 2-D compare
+             lambda: o.query_rows([4, 12], 512, 2), lambda: o.query_rows([8], 512, 5)]
     for call in calls:
         call()
         ref = np.random.PCG64(21)
@@ -250,6 +253,39 @@ def test_oracle_draws_only_the_answers_it_counts():
     ref = np.random.PCG64(21)
     ref.advance(o.query_count)
     assert o._rng.bit_generator.state == ref.state
+
+
+@pytest.mark.parametrize("m", [0, 1, 640, DRAW_BUFFER + 1, -1])
+def test_query_batch_is_one_row_of_query_rows(m):
+    # the same count, charge and generator state, or for a rejected call
+    # the same error, nothing charged and the stream where it was
+    inst = make_instance(16, 2, [3, 10])
+    a = Oracle(inst, NoiseModel(0.9), seed=17)
+    b = Oracle(inst, NoiseModel(0.9), seed=17)
+    for o in (a, b):
+        o.query_batch(4, 3)  # start past the stream's first double
+    if m < 0:
+        with pytest.raises(DomainError):
+            a.query_batch(8, m)
+        with pytest.raises(DomainError):
+            b.query_rows([8], m, 1)
+    else:
+        got, want = a.query_batch(8, m), b.query_rows([8], m, 1)[0, 0]
+        assert type(got) is int and got == want
+    assert a.query_count == b.query_count == 3 + max(m, 0)
+    assert a._rng.bit_generator.state == b._rng.bit_generator.state
+
+
+def test_query_batch_and_query_go_through_query_rows(monkeypatch):
+    def refused(self, ys, m, rows):
+        raise RuntimeError("query_rows refused")
+
+    o = Oracle(make_instance(16, 2, [3, 10]), seed=0)
+    monkeypatch.setattr(Oracle, "query_rows", refused)
+    for call in (lambda: o.query_batch(8, 4), lambda: o.query(8)):
+        with pytest.raises(RuntimeError, match="query_rows refused"):
+            call()
+    assert o.query_count == 0
 
 
 def test_oracle_memory_is_bounded():
