@@ -9,7 +9,7 @@ from .instances import bin_instance, cluster_instance
 from .kposition import (KPosEstimate, estimate_k_position,
                         queries_for_confidence)
 from .model import (CapacityError, DomainError, Instance, NoiseModel, Oracle,
-                    Response, k_position_true, make_instance, sample_instance)
+                    k_position_true, make_instance, sample_instance)
 from .reports import SolverReport
 from .seeds import derive_seed
 from .walker import (WalkConfig, WalkNode, choose_walk_length, find_tth,
@@ -17,9 +17,9 @@ from .walker import (WalkConfig, WalkNode, choose_walk_length, find_tth,
 
 __all__ = [
     "CapacityError", "DomainError", "ExperimentConfig", "ExperimentResult",
-    "Instance", "KPosEstimate", "NoiseModel", "Oracle", "Response",
-    "SolverReport", "WalkConfig", "WalkNode", "berndiv_bound_check",
-    "bin_instance", "choose_walk_length", "cluster_instance", "derive_seed",
+    "Instance", "KPosEstimate", "NoiseModel", "Oracle", "SolverReport",
+    "WalkConfig", "WalkNode", "berndiv_bound_check", "bin_instance",
+    "choose_walk_length", "cluster_instance", "derive_seed",
     "estimate_k_position", "estimator_success_prob", "find_tth",
     "fit_scaling", "k_position_true", "kl_bernoulli", "make_instance",
     "ml_decode", "queries_for_confidence", "run_experiment",

@@ -11,7 +11,8 @@ can drift apart from what it checks:
 - ``estimator_success_prob``: exact binomial probability that the
   k-position estimate pipeline returns the truth.
 - ``ml_decode``: brute-force maximum-likelihood recovery of the hidden
-  multiset from a transcript, for desk-scale instances only.
+  multiset from (y, m, x) batches, each one ``Oracle.query_batch(y, m)``
+  call and its LEQ count x, for desk-scale instances only.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from bisect import bisect_right
 from itertools import combinations_with_replacement
 
 from .kposition import _estimate
-from .model import (CapacityError, DomainError, Response, Transcript, as_int,
-                    check_n_k, check_rho, leq_probability)
+from .model import (CapacityError, DomainError, as_int, check_n_k, check_rho,
+                    leq_probability)
 
 _NEG_INF = float("-inf")
 
@@ -83,11 +84,13 @@ def estimator_success_prob(k: int, m: int, k_true: int, rho: float = 1.0) -> flo
                      if _estimate(x, m, k, rho) == k_true)
 
 
-def ml_decode(transcript: Transcript, n: int, k: int, rho: float = 1.0) -> tuple[int, ...]:
-    """Brute-force maximum-likelihood multiset given a query transcript.
+def ml_decode(batches, n: int, k: int, rho: float = 1.0) -> tuple[int, ...]:
+    """Brute-force maximum-likelihood multiset given (y, m, x) batches.
 
-    Enumerates all C(n+k-1, k) multisets; ties break to the
-    lexicographically smallest sorted tuple. Guarded to desk scale.
+    A batch is m queries of y, x of them answered LEQ: y in [1, n] and
+    0 <= x <= m, each checked by ``as_int``. Enumerates all C(n+k-1, k)
+    multisets; ties break to the lexicographically smallest sorted tuple.
+    Guarded to desk scale.
     """
     n, k = check_n_k(n, k)
     rho = check_rho(rho)
@@ -96,15 +99,17 @@ def ml_decode(transcript: Transcript, n: int, k: int, rho: float = 1.0) -> tuple
         raise CapacityError(
             f"{n_candidates} candidate multisets exceed the "
             f"{ML_DECODE_MAX_CANDIDATES} enumeration guard")
-    # likelihood depends only on per-y (LEQ, GT) response counts
+    # likelihood depends only on per-y (LEQ, GT) answer counts
     per_y: dict[int, list[int]] = {}
-    for y, resp in transcript:
-        y = as_int(y, "y", 1)
+    for y, m, x in batches:
+        y, m, x = as_int(y, "y", 1), as_int(m, "m"), as_int(x, "x")
         if y > n:
-            raise DomainError(f"transcript value {y} outside [1, {n}]")
-        if not isinstance(resp, Response):
-            raise DomainError(f"transcript answer {resp!r} is not a Response")
-        per_y.setdefault(y, [0, 0])[resp is Response.GT] += 1
+            raise DomainError(f"y must be in [1, {n}], got {y}")
+        if x > m:
+            raise DomainError(f"x must be in [0, {m}], got {x}")
+        counts = per_y.setdefault(y, [0, 0])
+        counts[0] += x
+        counts[1] += m - x
 
     best = None
     best_ll = _NEG_INF

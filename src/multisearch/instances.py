@@ -19,7 +19,8 @@ def cluster_instance(n: int, k: int, seed: int) -> Instance:
     if n % k != 0:
         raise DomainError(f"cluster instance needs k | n, got n={n}, k={k}")
     width = n // k
-    check_int64_range(width)
+    check_int64_range(width, "a cluster width")
+    check_int64_range(k, "k")
     rng = generator(seed)
     offsets = rng.integers(0, width, size=k)
     items = [i * width + 1 + int(off) for i, off in enumerate(offsets)]
@@ -36,6 +37,7 @@ def bin_instance(n: int, k: int, seed: int) -> Instance:
         raise DomainError(f"bin instance needs 4 | k, got k={k}")
     if k > n - 2:
         raise DomainError(f"bin instance needs k <= n - 2, got k={k}, n={n}")
+    check_int64_range(k, "k")
     rng = generator(seed)
     picks = rng.integers(0, 2, size=k // 2)
     items = [1] * (k // 4) + [n] * (k // 4)

@@ -15,7 +15,6 @@ y = n; the oracle range-checks every other y.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from .model import DomainError, Oracle, as_int, check_delta, check_rho
@@ -57,18 +56,6 @@ def round_to_grid(p: float, k: int) -> int:
     return min(max(i, 0), k)
 
 
-def estimate_from_counts(x: int, m: int, k: int, rho: float = 1.0) -> int:
-    """The k-position read off x LEQ answers out of m queries, 0 <= x <= m.
-
-    Checks its arguments, then reads the count by ``_estimate``.
-    """
-    k, m, rho = as_int(k, "k", 1), as_int(m, "m", 1), check_rho(rho)
-    x = as_int(x, "x")
-    if x > m:
-        raise DomainError(f"x must be in [0, {m}], got {x}")
-    return _estimate(x, m, k, rho)
-
-
 def _estimate(x: int, m: int, k: int, rho: float) -> int:
     """The rounding pipeline, for arguments already checked.
 
@@ -88,9 +75,18 @@ def count_threshold(t: int, m: int, k: int, rho: float = 1.0) -> int:
     checks k_pos <= t - 1 and k_pos >= t become x < X_t and x >= X_t.
     The arguments are checked once; the threshold is then found by
     bisection on ``_estimate``, so the rounding is still stated only there.
+    The bisection is an explicit loop: C bisect takes Py_ssize_t bounds,
+    and m may not fit.
     """
     t, k, m, rho = as_int(t, "t", 1), as_int(k, "k", 1), as_int(m, "m", 1), check_rho(rho)
-    return bisect_left(range(m + 1), t, key=lambda x: _estimate(x, m, k, rho))
+    lo, hi = 0, m + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _estimate(mid, m, k, rho) >= t:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def estimate_k_position(oracle: Oracle, y: int, m: int) -> KPosEstimate:

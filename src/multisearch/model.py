@@ -14,15 +14,16 @@ query interface: ``n``, ``k``, ``noise.rho``, ``query_count`` and
 ``query_rows`` (rows of m-query batches for a few values, drawn row after
 row: a walk step's endpoint checks, or a block of leaf-chain steps the
 walk is sure to take), the one path that checks, charges, draws and
-counts, and its two views ``query_batch`` (m queries of one value,
-returned as the number of LEQ answers) and ``query``. Each answer is the
-next double of the oracle's generator, drawn in place in chunks of at
-most ``DRAW_BUFFER``, so the generator stands exactly ``query_count``
-doubles past its seed. ``Oracle.instance`` and the
+counts, and its view ``query_batch`` (m queries of one value). An answer
+is read only as a count: the number of LEQ answers in a batch. Each
+answer is the next double of the oracle's generator, drawn in place in
+chunks of at most ``DRAW_BUFFER``, so the generator stands exactly
+``query_count`` doubles past its seed. ``Oracle.instance`` and the
 ground-truth helper ``k_position_true`` are for the harness and tests only.
 Each argument rule is stated once, here, and returns the value it
 accepted: ``as_int`` (every integer), ``check_seed``, ``check_n_k``,
-``check_rho`` and ``check_delta``. ``generator`` is the one place a seed
+``check_rho`` and ``check_delta``; ``check_int64_range`` bounds every
+range and size numpy draws. ``generator`` is the one place a seed
 becomes a PCG64 generator.
 """
 
@@ -32,7 +33,6 @@ import json
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -46,16 +46,6 @@ class DomainError(ValueError):
 class CapacityError(RuntimeError):
     """A brute-force oracle was asked for more work than its guard allows."""
 
-
-class Response(Enum):
-    """Answer alphabet: the drawn hidden element is <= y, or > y."""
-
-    LEQ = "leq"
-    GT = "gt"
-
-
-# A transcript is an ordered list of (queried value, response) pairs.
-Transcript = list[tuple[int, Response]]
 
 # an oracle draws its answers in place into one buffer of this many doubles
 # (64 KiB), so an estimate's memory stays in cache whatever its query budget
@@ -157,16 +147,17 @@ def check_n_k(n: int, k: int) -> tuple[int, int]:
     return as_int(n, "n", 1), as_int(k, "k", 1)
 
 
-def check_int64_range(n: int) -> None:
-    """Reject n >= 2^63: numpy draws instance values as int64."""
-    if n >= 2**63:
-        raise DomainError(f"random instances need a range below 2^63, got {n}")
+def check_int64_range(value: int, name: str) -> None:
+    """Reject value >= 2^63: numpy takes a random instance's ranges and sizes as int64."""
+    if value >= 2**63:
+        raise DomainError(f"random instances need {name} below 2^63, got {value}")
 
 
 def sample_instance(n: int, k: int, mode: str, seed: int) -> Instance:
     """Sample a random instance: k i.i.d. uniform values, or a uniform k-subset."""
     n, k = check_n_k(n, k)
-    check_int64_range(n)
+    check_int64_range(n, "n")
+    check_int64_range(k, "k")
     rng = generator(seed)
     if mode == "with-replacement":
         items = rng.integers(1, n + 1, size=k)
@@ -222,7 +213,7 @@ class Oracle:
         """Perform m independent queries of y; returns the number of LEQ answers.
 
         ``query_rows([y], m, 1)`` read as an int: the same checks, charge
-        and stream as m calls of ``query(y)``.
+        and stream.
         """
         return self.query_rows([y], m, 1).item()
 
@@ -267,9 +258,6 @@ class Oracle:
                 counts[i] = x
         return counts.reshape(rows, len(ys))
 
-    def query(self, y: int) -> Response:
-        return Response.LEQ if self.query_batch(y, 1) else Response.GT
-
 
 def check_oracle_shape(oracle: Oracle, n: int, k: int) -> tuple[int, int]:
     """A solver's (n, k) by ``check_n_k``; DomainError unless they are the oracle's own."""
@@ -277,8 +265,3 @@ def check_oracle_shape(oracle: Oracle, n: int, k: int) -> tuple[int, int]:
         raise DomainError(f"(n, k) = ({n}, {k}) disagrees with the oracle's "
                           f"({oracle.n}, {oracle.k})")
     return oracle.n, oracle.k
-
-
-def collect_transcript(oracle: Oracle, ys) -> Transcript:
-    """Query each y in order and return the (y, response) transcript."""
-    return [(y, oracle.query(y)) for y in ys]

@@ -16,8 +16,7 @@ from multisearch.bench import ExperimentConfig, fit_scaling, run_experiment
 from multisearch.dense import solve_dense, solve_naive
 from multisearch.instances import bin_instance, cluster_instance
 from multisearch.kposition import estimate_k_position, queries_for_confidence
-from multisearch.model import (NoiseModel, Oracle, collect_transcript,
-                               make_instance, sample_instance)
+from multisearch.model import NoiseModel, Oracle, make_instance, sample_instance
 from multisearch.seeds import derive_seed
 from multisearch.walker import ceil_log2, solve_walker
 
@@ -155,7 +154,7 @@ def test_c10_ml_oracle():
         o = Oracle(inst, seed=derive_seed(ts, 2))
         rng = np.random.Generator(np.random.PCG64(derive_seed(ts, 3)))
         ys = rng.integers(1, 6, size=2000).tolist()
-        hits += ml_decode(collect_transcript(o, ys), 5, 2) == inst.items
+        hits += ml_decode([(y, 1, o.query_batch(y, 1)) for y in ys], 5, 2) == inst.items
     _report("C10 brute-force ML decoder (n=5, k=2)", hits >= 95,
             f"recovered {hits}/100")
 

@@ -7,9 +7,9 @@ import pytest
 from multisearch.analysis import (berndiv_bound_check, binom_pmf,
                                   estimator_success_prob, kl_bernoulli,
                                   ml_decode)
-from multisearch.kposition import estimate_from_counts
-from multisearch.model import (CapacityError, DomainError, Oracle, Response,
-                               collect_transcript, make_instance)
+from multisearch.kposition import _estimate
+from multisearch.model import (CapacityError, DomainError, NoiseModel, Oracle,
+                               make_instance)
 
 
 def test_kl_conventions():
@@ -88,7 +88,7 @@ def test_success_prob_frozen_values():
 
     # k=2, m=32, K=1: pipeline succeeds exactly when 9 <= x <= 24
     # (x=24 gives p_hat=0.75, a grid tie broken down to k_pos=1)
-    good = [x for x in range(33) if estimate_from_counts(x, 32, 2) == 1]
+    good = [x for x in range(33) if _estimate(x, 32, 2, 1.0) == 1]
     assert good == list(range(9, 25))
     expected = binom.pmf(good, 32, 0.5).sum()
     assert estimator_success_prob(2, 32, 1) == pytest.approx(expected)
@@ -104,14 +104,13 @@ def test_success_prob_distribution_sums_to_one():
         total = 0.0
         for est in range(k + 1):
             xs = [x for x in range(m + 1)
-                  if estimate_from_counts(x, m, k, rho) == est]
+                  if _estimate(x, m, k, rho) == est]
             total += binom.pmf(xs, m, p).sum()
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ml_decode_zero_likelihood_elimination():
-    transcript = [(1, Response.GT)] * 10
-    assert ml_decode(transcript, 2, 1) == (2,)
+    assert ml_decode([(1, 1, 0)] * 10, 2, 1) == (2,)
 
 
 def test_ml_decode_empty_transcript_tie_break():
@@ -120,14 +119,18 @@ def test_ml_decode_empty_transcript_tie_break():
 
 
 def test_ml_decode_permutation_invariant():
+    # a (y, m, x) record decodes like its split into m (y, 1, .) records,
+    # in any order
     inst = make_instance(5, 2, [2, 4])
-    o = Oracle(inst, seed=9)
-    rng = np.random.Generator(np.random.PCG64(10))
-    ys = rng.integers(1, 6, size=400).tolist()
-    transcript = collect_transcript(o, ys)
-    shuffled = list(transcript)
-    random.Random(0).shuffle(shuffled)
-    assert ml_decode(transcript, 5, 2) == ml_decode(shuffled, 5, 2)
+    for rho in (1.0, 0.9):
+        o = Oracle(inst, NoiseModel(rho), seed=9)
+        rng = np.random.Generator(np.random.PCG64(10))
+        batches = [(y, m, o.query_batch(y, m))
+                   for y, m in zip(rng.integers(1, 6, size=12).tolist(),
+                                   rng.integers(0, 60, size=12).tolist())]
+        split = [(y, 1, int(i < x)) for y, m, x in batches for i in range(m)]
+        random.Random(0).shuffle(split)
+        assert ml_decode(batches, 5, 2, rho) == ml_decode(split, 5, 2, rho)
 
 
 def test_ml_decode_capacity_guard():

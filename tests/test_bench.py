@@ -265,6 +265,13 @@ def test_cli_usage_error_exit_2(tmp_path):
         proc = _cli("bench", "--n", str(10**20), "--k", "2", "--trials", "1",
                     "--instance", kind)
         assert proc.returncode == 2 and "Traceback" not in proc.stderr, kind
+    # and so do the sizes k they draw
+    for n, k, flags in ((8, 2**64, ("--algo", "dense")),
+                        (2**70, 2**64, ("--instance", "cluster")),
+                        (2**70, 2**66, ("--instance", "bins"))):
+        proc = _cli("solve", "--n", str(n), "--k", str(k), *flags)
+        assert proc.returncode == 2, (k, flags, proc.stderr)
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
     # a file: instance fixes n and k, so a scaling sweep would vary nothing
     path = tmp_path / "inst.json"
     path.write_text(make_instance(16, 2, [3, 10]).to_json())
@@ -359,11 +366,11 @@ def test_cli_data_error_exit_3(tmp_path):
 def test_rng_stream_pinned():
     # literal outputs of fixed seeds: a change to the RNG stream fails here
     # and must be declared, with law-level tests, not re-seeded away
-    from multisearch.model import NoiseModel, Oracle, Response
+    from multisearch.model import NoiseModel, Oracle
 
     inst = make_instance(16, 2, [3, 10])
     o = Oracle(inst, NoiseModel(0.9), seed=7)
-    bits = "".join("1" if o.query(8) is Response.LEQ else "0" for _ in range(32))
+    bits = "".join("1" if o.query_batch(8, 1) else "0" for _ in range(32))
     assert bits == "00011010011111000000110110100011"
     assert Oracle(inst, NoiseModel(0.9), seed=7).query_batch(8, 32) == 15
 

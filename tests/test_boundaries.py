@@ -14,9 +14,9 @@ from multisearch.analysis import estimator_success_prob, ml_decode
 from multisearch.bench import ExperimentConfig, fit_scaling
 from multisearch.dense import solve_dense, solve_naive
 from multisearch.instances import bin_instance, cluster_instance
-from multisearch.kposition import count_threshold, estimate_from_counts, queries_for_confidence
-from multisearch.model import (DomainError, Instance, NoiseModel, Oracle, Response,
-                               k_position_true, make_instance, sample_instance)
+from multisearch.kposition import count_threshold, queries_for_confidence
+from multisearch.model import (DomainError, Instance, NoiseModel, Oracle, k_position_true,
+                               make_instance, sample_instance)
 from multisearch.walker import (WalkConfig, WalkNode, choose_walk_length, find_tth,
                                 parent_of, solve_walker)
 
@@ -34,7 +34,8 @@ SEEDED = {
 
 
 class QueryOnlyOracle:
-    """Forwards a real oracle's query interface and nothing else (no ``instance``)."""
+    """Forwards a real oracle's query interface, ``query_rows`` and its view
+    ``query_batch``, and nothing else (no ``instance``)."""
 
     def __init__(self, oracle: Oracle):
         self._oracle = oracle
@@ -49,9 +50,6 @@ class QueryOnlyOracle:
 
     def query_rows(self, ys, m, rows):
         return self._oracle.query_rows(ys, m, rows)
-
-    def query(self, y):
-        return self._oracle.query(y)
 
 
 @pytest.mark.parametrize("solve", [
@@ -187,16 +185,18 @@ def test_perfbench_selftest_passes():
     (lambda: WalkConfig.for_problem(0, 2, 0.1), "got 0"),
     (lambda: estimator_success_prob(0, 4, 0), "k=0"),
     (lambda: estimator_success_prob(2, 4, 1, rho=0.5), "got 0.5"),
-    (lambda: ml_decode([(1, Response.LEQ)], 3, 0), "k=0"),
+    (lambda: ml_decode([(1, 1, 1)], 3, 0), "k=0"),
     (lambda: ml_decode([], 0, 1), "n=0"),
-    (lambda: ml_decode([(1, Response.LEQ)], 2, 1, rho=1.5), "got 1.5"),
+    (lambda: ml_decode([(1, 1, 1)], 2, 1, rho=1.5), "got 1.5"),
     (lambda: fit_scaling([(1, 1), (2, 2), (float("nan"), 3)]), "got nan"),
     (lambda: count_threshold(1, 4, 2, 0.5), "got 0.5"),
     (lambda: count_threshold(1, 4, 0), "k=0"),
-    (lambda: estimate_from_counts(3, 4, 2, 0.5), "got 0.5"),
-    (lambda: estimate_from_counts(3, 0, 2), "m=0"),
     (lambda: queries_for_confidence(2, 0.1, rho=0.5), "got 0.5"),
-    (lambda: ml_decode([(1, "leq")], 3, 1), "not a Response"),
+    (lambda: ml_decode([(0, 1, 1)], 3, 1), "y=0"),
+    (lambda: ml_decode([(4, 1, 1)], 3, 1), r"y must be in \[1, 3\], got 4"),
+    (lambda: ml_decode([(2, 4, 5)], 3, 1), r"x must be in \[0, 4\], got 5"),
+    (lambda: ml_decode([(2, 4, -3)], 3, 1), "x=-3"),
+    (lambda: ml_decode([(2, -1, 0)], 3, 1), "m=-1"),
     (lambda: Instance(8, 3, (2, 5)), "expected 3 items"),
     (lambda: Instance(8, 2, (0, 12)), "item=0"),
     (lambda: Instance(8, 2, (3, 12)), r"\[1, 8\]"),
@@ -210,19 +210,20 @@ def test_perfbench_selftest_passes():
     (lambda: parent_of(WalkNode(20, 30), 16), r"\[20, 30\] is not a node of the tree over \[1, 16\]"),
     (lambda: parent_of(WalkNode(2, 5), 16), r"\[2, 5\] is not a node of the tree over \[1, 16\]"),
     (lambda: parent_of(WalkNode(2, 3), 16), r"\[2, 3\] is not a node of the tree over \[1, 16\]"),
-    (lambda: estimate_from_counts(5, 4, 2), r"x must be in \[0, 4\], got 5"),
-    (lambda: estimate_from_counts(-3, 4, 2), "x=-3"),
+    (lambda: sample_instance(8, 2**64, "with-replacement", 0), r"k below 2\^63"),
+    (lambda: cluster_instance(2**70, 2**64, 0), r"k below 2\^63"),
+    (lambda: bin_instance(2**70, 2**66, 0), r"k below 2\^63"),
     *[(lambda make=make, seed=seed: make(seed), "seed")
       for make in SEEDED.values() for seed in (-1, 2**64)],
 ], ids=["walk_length-n=0", "for_problem-n=0", "success_prob-k=0", "success_prob-rho=0.5",
         "ml_decode-k=0", "ml_decode-n=0", "ml_decode-rho=1.5", "fit_scaling-x=nan",
-        "count_threshold-rho=0.5", "count_threshold-k=0", "estimate_from_counts-rho=0.5",
-        "estimate_from_counts-m=0", "queries_for_confidence-rho=0.5", "ml_decode-answer=str",
+        "count_threshold-rho=0.5", "count_threshold-k=0", "queries_for_confidence-rho=0.5",
+        "ml_decode-y=0", "ml_decode-y>n", "ml_decode-x>m", "ml_decode-x<0", "ml_decode-m<0",
         "Instance-2_of_3_items", "Instance-item=0", "Instance-item=12", "count_threshold-t=0",
         "dense-c=1e308", "dense-n=1-c=inf", "WalkNode-a>b", "WalkNode-a=0",
         "WalkNode-chain_depth=-1", "parent_of-root", "parent_of-[20,30]-outside",
-        "parent_of-[2,5]-straddles", "parent_of-[2,3]-straddles", "estimate_from_counts-x>m",
-        "estimate_from_counts-x<0",
+        "parent_of-[2,5]-straddles", "parent_of-[2,3]-straddles",
+        "sample_instance-k=2^64", "cluster-k=2^64", "bins-k=2^66",
         *[f"{name}-seed={seed}" for name in SEEDED for seed in ("-1", "2^64")]])
 def test_out_of_domain_arguments_raise_domain_error(call, named):
     with pytest.raises(DomainError, match=named):
@@ -236,9 +237,6 @@ def test_out_of_domain_arguments_raise_domain_error(call, named):
     lambda: estimator_success_prob(2, 2.5, 1),
     lambda: estimator_success_prob(2, True, 1),
     lambda: count_threshold(1, 4.0, 2),
-    lambda: estimate_from_counts(3, 4, 2.0),
-    lambda: estimate_from_counts(2.5, 4, 2),
-    lambda: estimate_from_counts(True, 4, 2),
     lambda: choose_walk_length(8.0, 0.1),
     lambda: WalkConfig.for_problem(8.0, 2, 0.1),
     lambda: choose_walk_length(True, 0.1),
@@ -256,8 +254,9 @@ def test_out_of_domain_arguments_raise_domain_error(call, named):
     lambda: make_instance(4.0, 2, [1, 2]),
     lambda: make_instance(4, 2, [2.0, 1.0]),
     lambda: Instance(8, 2, (2.5, 3)),
-    lambda: ml_decode([(2.5, Response.LEQ)], 4, 1),
-    lambda: ml_decode([(True, Response.LEQ)], 4, 1),
+    lambda: ml_decode([(2.5, 1, 1)], 4, 1),
+    lambda: ml_decode([(True, 1, 1)], 4, 1),
+    lambda: ml_decode([(2, 1, True)], 4, 1),
     lambda: count_threshold(1.5, 8, 2),
     lambda: count_threshold(True, 8, 2),
     lambda: Oracle(INST, 0.9),
@@ -270,14 +269,13 @@ def test_out_of_domain_arguments_raise_domain_error(call, named):
     *[lambda make=make, seed=seed: make(seed) for make in SEEDED.values() for seed in (True, 1.5)],
 ], ids=["queries_for_confidence-k=2.5", "queries_for_confidence-k=True",
         "success_prob-k=2.5", "success_prob-m=2.5", "success_prob-m=True",
-        "count_threshold-m=4.0", "estimate_from_counts-k=2.0", "estimate_from_counts-x=2.5",
-        "estimate_from_counts-x=True", "walk_length-n=8.0",
+        "count_threshold-m=4.0", "walk_length-n=8.0",
         "for_problem-n=8.0", "walk_length-n=True", "sample_instance-n=8.5",
         "NoiseModel-rho=True", "cluster-n=8.0", "bins-n=16.0", "bins-k=4.0",
         "ml_decode-rho=True", "ml_decode-n=4.0", "success_prob-k_true=True", "dense-c=True",
         "k_position_true-y=2.5", "k_position_true-y=True",
         "make_instance-n=4.0", "make_instance-items=2.0", "Instance-item=2.5",
-        "ml_decode-y=2.5", "ml_decode-y=True", "count_threshold-t=1.5",
+        "ml_decode-y=2.5", "ml_decode-y=True", "ml_decode-x=True", "count_threshold-t=1.5",
         "count_threshold-t=True", "Oracle-noise=0.9", "Oracle-instance=tuple",
         "find_tth-cfg=None", "WalkNode-a=2.0", "WalkNode-chain_depth=True",
         "ExperimentConfig-instance=None", "ExperimentConfig-algo=list",

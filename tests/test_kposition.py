@@ -1,9 +1,8 @@
 import pytest
 
 from multisearch.analysis import estimator_success_prob
-from multisearch.kposition import (count_threshold, estimate_from_counts,
-                                   estimate_k_position, queries_for_confidence,
-                                   round_to_grid)
+from multisearch.kposition import (_estimate, count_threshold, estimate_k_position,
+                                   queries_for_confidence, round_to_grid)
 from multisearch.model import DomainError, NoiseModel, Oracle, make_instance
 from multisearch.seeds import derive_seed
 
@@ -76,8 +75,8 @@ def test_denoising_pipeline():
     # fractions 1/4, 1/2, 3/4 are k-positions 0, 1, 2, and the ties between
     # them (x = 12 and 20 of 32) fall to the smaller index; without the
     # de-bias all four counts would round to 1
-    assert estimate_from_counts(24, 32, 2, rho=0.75) == 2
-    assert [estimate_from_counts(x, 32, 2, rho=0.75) for x in (12, 13, 20, 21)] == [0, 1, 1, 2]
+    assert _estimate(24, 32, 2, 0.75) == 2
+    assert [_estimate(x, 32, 2, 0.75) for x in (12, 13, 20, 21)] == [0, 1, 1, 2]
 
 
 def test_count_threshold_exhaustive():
@@ -86,11 +85,21 @@ def test_count_threshold_exhaustive():
     for rho in (1.0, 0.9, 0.6):
         for k in range(1, 10):
             for m in range(1, 65):
-                ests = [estimate_from_counts(x, m, k, rho) for x in range(m + 1)]
+                ests = [_estimate(x, m, k, rho) for x in range(m + 1)]
                 for t in range(1, k + 1):
                     x_t = count_threshold(t, m, k, rho)
                     assert 0 <= x_t <= m + 1
                     assert [e >= t for e in ests] == [x >= x_t for x in range(m + 1)]
+
+
+@pytest.mark.parametrize("m", [2**63 - 1, 2**70], ids=["2^63-1", "2^70"])
+def test_count_threshold_past_ssize_t(m):
+    # a budget need not fit a C index: m = 2^70 is a walk at rho just above 1/2
+    x_t = count_threshold(1, m, 2, 1.0)
+    assert _estimate(x_t - 1, m, 2, 1.0) < 1 <= _estimate(x_t, m, 2, 1.0)
+    if m == 2**70:
+        # x / m first rounds above 1/4 past half an ulp of 1/4, 2^15 counts
+        assert x_t == 2**68 + 32_769
 
 
 def test_count_threshold_rejects_empty_budget():

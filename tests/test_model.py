@@ -9,7 +9,7 @@ import pytest
 from multisearch.analysis import binom_pmf
 from multisearch.kposition import estimate_k_position
 from multisearch.model import (DRAW_BUFFER, ROWS_2D, DomainError, Instance,
-                               NoiseModel, Oracle, Response, k_position_true,
+                               NoiseModel, Oracle, k_position_true,
                                leq_probability, make_instance, sample_instance)
 
 
@@ -136,23 +136,23 @@ def test_k_position_true_monotone():
 def test_query_deterministic_noiseless_extremes():
     inst = make_instance(16, 2, [3, 10])
     o = Oracle(inst, seed=1)
-    assert o.query(16) is Response.LEQ  # every element <= n
-    assert o.query(1) is Response.GT   # below min(S)
+    assert o.query_batch(16, 1) == 1  # every element <= n
+    assert o.query_batch(1, 1) == 0   # below min(S)
 
 
 def test_query_rejects_out_of_range():
     o = Oracle(make_instance(4, 1, [2]), seed=0)
     with pytest.raises(DomainError):
-        o.query(0)
+        o.query_batch(0, 1)
     with pytest.raises(DomainError):
-        o.query(5)
+        o.query_batch(5, 1)
 
 
 def test_query_count_accounting():
     o = Oracle(make_instance(16, 2, [3, 10]), seed=0)
-    o.query(8)
+    o.query_batch(8, 1)
     o.query_batch(4, 10)
-    o.query(2)
+    o.query_batch(2, 1)
     assert o.query_count == 12
     # m is checked before it is counted; m = 0 is an empty batch
     with pytest.raises(DomainError):
@@ -171,7 +171,7 @@ def test_query_batch_is_the_query_stream(rho, m):
     inst = make_instance(16, 2, [3, 10])
     a = Oracle(inst, NoiseModel(rho), seed=5)
     b = Oracle(inst, NoiseModel(rho), seed=5)
-    assert a.query_batch(8, m) == sum(b.query(8) is Response.LEQ for _ in range(m))
+    assert a.query_batch(8, m) == sum(b.query_batch(8, 1) for _ in range(m))
     assert a.query_count == b.query_count == m
     # both oracles stand at the same point of the stream afterwards
     assert a.query_batch(8, 64) == b.query_batch(8, 64)
@@ -183,7 +183,7 @@ def test_query_batch_rejects_non_integral_y():
     # estimate, not even a forced one at y = 0 or y = n
     inst = make_instance(16, 2, [3, 10])
     o, ref = Oracle(inst, seed=3), Oracle(inst, seed=3)
-    for call in (lambda: o.query_batch(2.5, 4), lambda: o.query(3.0),
+    for call in (lambda: o.query_batch(2.5, 4), lambda: o.query_batch(3.0, 1),
                  lambda: estimate_k_position(o, 2.5, 8),
                  lambda: estimate_k_position(o, 0.0, 8),
                  lambda: estimate_k_position(o, 16.0, 8),
@@ -202,22 +202,18 @@ def test_query_batch_reads_the_reference_stream(rho):
     inst = make_instance(16, 2, [3, 10])
     sizes = [0, 1, DRAW_BUFFER - 1, DRAW_BUFFER, DRAW_BUFFER + 1, 3200, 2 * DRAW_BUFFER + 1,
              6 * DRAW_BUFFER + 5]
-    calls = []  # (y, m) is query_batch(y, m); (y, None) is query(y)
+    calls = []  # (y, m) is query_batch(y, m)
     for i, m in enumerate(sizes + sizes[::-1]):
         y = [8, 4, 2, 16][i % 4]
-        calls += [(y, m), (y, None)]
-    total = sum(1 if m is None else m for _, m in calls)
+        calls += [(y, m), (y, 1)]
+    total = sum(m for _, m in calls)
     doubles = np.random.Generator(np.random.PCG64(11)).random(total)
     o = Oracle(inst, NoiseModel(rho), seed=11)
     pos = 0
     for y, m in calls:
         p = leq_probability(k_position_true(inst, y), inst.k, rho)
-        if m is None:
-            assert (o.query(y) is Response.LEQ) == (doubles[pos] < p)
-            pos += 1
-        else:
-            assert o.query_batch(y, m) == np.count_nonzero(doubles[pos:pos + m] < p)
-            pos += m
+        assert o.query_batch(y, m) == np.count_nonzero(doubles[pos:pos + m] < p)
+        pos += m
         assert o.query_count == pos
         # a rejected call counts nothing and leaves the stream where it was
         for bad_y, bad_m in [(8, -1), (0, 1), (2.5, 1)]:
@@ -234,7 +230,7 @@ def test_oracle_draws_only_the_answers_it_counts():
     inst = make_instance(16, 2, [3, 10])
     o = Oracle(inst, NoiseModel(0.9), seed=21)
     calls = [lambda: o.query_batch(8, 0), lambda: o.query_rows([4, 12], 512, 0),
-             lambda: o.query_batch(4, 100), lambda: o.query(12),
+             lambda: o.query_batch(4, 100), lambda: o.query_batch(12, 1),
              # 5 batches of 1,638 fit the buffer, 5 of 1,639 do not
              lambda: o.query_rows([8], DRAW_BUFFER // ROWS_2D, 11),
              lambda: o.query_rows([4, 12], DRAW_BUFFER // ROWS_2D + 1, 3),
@@ -282,7 +278,7 @@ def test_query_batch_and_query_go_through_query_rows(monkeypatch):
 
     o = Oracle(make_instance(16, 2, [3, 10]), seed=0)
     monkeypatch.setattr(Oracle, "query_rows", refused)
-    for call in (lambda: o.query_batch(8, 4), lambda: o.query(8)):
+    for call in (lambda: o.query_batch(8, 4), lambda: o.query_batch(8, 1)):
         with pytest.raises(RuntimeError, match="query_rows refused"):
             call()
     assert o.query_count == 0
@@ -366,7 +362,7 @@ def test_oracle_determinism(rho):
     ys = [8, 4, 2, 3, 10, 16, 1] * 20
     a = Oracle(inst, NoiseModel(rho), seed=99)
     b = Oracle(inst, NoiseModel(rho), seed=99)
-    assert [a.query(y) for y in ys] == [b.query(y) for y in ys]
+    assert [a.query_batch(y, 1) for y in ys] == [b.query_batch(y, 1) for y in ys]
 
 
 @pytest.mark.parametrize("rho,y", [(1.0, 8), (0.75, 8), (0.8, 4)])
