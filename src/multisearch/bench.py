@@ -20,9 +20,8 @@ from typing import Optional
 import numpy as np
 
 from .dense import solve_dense, solve_naive
-from .instances import bin_instance, cluster_instance
-from .model import (DomainError, Instance, NoiseModel, Oracle, as_int, check_seed,
-                    sample_instance)
+from .instances import bin_instance, cluster_instance, sample_instance
+from .model import DomainError, Instance, NoiseModel, Oracle, as_int, check_seed
 from .seeds import derive_seed
 from .walker import solve_walker
 

@@ -17,8 +17,7 @@ import sys
 
 from .bench import (GENERATORS, SOLVERS, DataError, ExperimentConfig,
                     fit_scaling, run_experiment)
-from .model import DomainError
-from .walker import ceil_log2
+from .model import DomainError, ceil_log2
 
 EXIT_OK = 0
 EXIT_USAGE = 2

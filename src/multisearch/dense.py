@@ -6,7 +6,8 @@ be monotone, and read the t-th smallest element off as the least y with
 K_y >= t; t = 1 reads the whole profile and is charged all its queries.
 ``solve_naive`` is the repeated-binary-search baseline whose extra
 log(2 k log n) factor the walker removes; kept for benchmark comparison.
-Its probes read LEQ counts against a threshold, as the walker's steps do.
+Its probes read LEQ counts against a threshold, as the walker's steps do,
+each target one ``model.least`` search of ``model.ceil_log2(n)`` probes at most.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from itertools import accumulate
 import numpy as np
 
 from .kposition import _queries_for_exponent, count_threshold, estimate_k_position
-from .model import DomainError, Oracle, check_delta, check_oracle_shape
+from .model import (DomainError, Oracle, ceil_log2, check_delta, check_oracle_shape,
+                    check_plan, least)
 from .reports import SolverReport
-from .walker import ceil_log2
 
 
 def repair_monotone(values: list[int]) -> list[int]:
@@ -46,6 +47,7 @@ def solve_dense(oracle: Oracle, n: int, k: int, c: float = 1.0) -> SolverReport:
         m_pt = _queries_for_exponent(k, (c + 1.0) * math.log2(n), oracle.noise.rho)
     except DomainError:
         raise DomainError(f"c={c} gives no finite query budget at n={n}, k={k}") from None
+    check_plan((n - 1) * m_pt, "dense", n=n, k=k, rho=oracle.noise.rho, c=c)
 
     def values():
         estimates = [estimate_k_position(oracle, y, m_pt).k_pos for y in range(1, n + 1)]
@@ -71,18 +73,11 @@ def solve_naive(oracle: Oracle, n: int, k: int, delta: float) -> SolverReport:
     # per-probe delta / (k * bits), passed as its exponent: it can underflow
     m_per = _queries_for_exponent(k, math.log2(k * bits) - math.log2(delta),
                                   oracle.noise.rho)
+    check_plan(k * bits * m_per, "naive", n=n, k=k, rho=oracle.noise.rho, delta=delta)
 
     def values():
-        # explicit bisection: C bisect takes Py_ssize_t bounds, and n may not fit
         for t in range(1, k + 1):
             x_t = count_threshold(t, m_per, k, oracle.noise.rho)
-            lo, hi = 1, n
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if oracle.query_batch(mid, m_per) >= x_t:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            yield lo
+            yield least(1, n, lambda v: oracle.query_batch(v, m_per) >= x_t)
 
     return SolverReport.of_values(oracle, values())

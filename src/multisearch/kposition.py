@@ -7,9 +7,9 @@ of queries by rounding the empirical LEQ fraction to the nearest multiple
 of 1/k. ``queries_for_confidence`` gives the sample budget for a target
 failure probability; with comparison noise the budget scales by
 (2*rho - 1)^-2 and the raw fraction is de-biased through the exact
-inverse of ``leq_probability`` before rounding. An estimate is its
-k-position alone. ``estimate_k_position`` states the forced ends y = 0 and
-y = n; the oracle range-checks every other y.
+inverse of ``leq_probability``; ``_estimate`` states the de-biasing and the
+grid rounding. An estimate is its k-position alone. ``estimate_k_position``
+states the forced ends y = 0 and y = n; the oracle range-checks every other y.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import DomainError, Oracle, as_int, check_delta, check_rho
+from .model import DomainError, Oracle, as_int, check_delta, check_rho, least
 
 
 @dataclass(frozen=True)
@@ -50,22 +50,17 @@ def _queries_for_exponent(k: int, log2_inv_delta: float, rho: float) -> int:
     return math.ceil(m)
 
 
-def round_to_grid(p: float, k: int) -> int:
-    """Nearest i/k grid point for p in [0,1]; ties go to the smaller i."""
-    i = math.ceil(p * k - 0.5)
-    return min(max(i, 0), k)
-
-
 def _estimate(x: int, m: int, k: int, rho: float) -> int:
     """The rounding pipeline, for arguments already checked.
 
-    The de-biased fraction is rounded to the 1/k grid, whose clamp takes a
-    fraction outside [0, 1] to 0 or k. This is the one statement of the
-    rounding: the live estimator, ``count_threshold`` and the exact
-    success-probability oracle in ``analysis`` all read counts through it,
-    so they can never disagree.
+    The de-biased fraction is rounded to the nearest point i/k of the grid,
+    a tie to the smaller i, and clamped, so a fraction outside [0, 1] reads
+    as 0 or k. This is the one statement of the rounding: the live
+    estimator, ``count_threshold`` and the exact success-probability oracle
+    in ``analysis`` all read counts through it, so they can never disagree.
     """
-    return round_to_grid((x / m - (1.0 - rho)) / (2.0 * rho - 1.0), k)
+    i = math.ceil((x / m - (1.0 - rho)) / (2.0 * rho - 1.0) * k - 0.5)
+    return min(max(i, 0), k)
 
 
 def count_threshold(t: int, m: int, k: int, rho: float = 1.0) -> int:
@@ -74,19 +69,11 @@ def count_threshold(t: int, m: int, k: int, rho: float = 1.0) -> int:
     The estimate is monotone in the count, so for one (t, m, k, rho) the
     checks k_pos <= t - 1 and k_pos >= t become x < X_t and x >= X_t.
     The arguments are checked once; the threshold is then found by
-    bisection on ``_estimate``, so the rounding is still stated only there.
-    The bisection is an explicit loop: C bisect takes Py_ssize_t bounds,
-    and m may not fit.
+    ``model.least`` on ``_estimate``, so the rounding is still stated only
+    there.
     """
     t, k, m, rho = as_int(t, "t", 1), as_int(k, "k", 1), as_int(m, "m", 1), check_rho(rho)
-    lo, hi = 0, m + 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _estimate(mid, m, k, rho) >= t:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    return least(0, m + 1, lambda x: _estimate(x, m, k, rho) >= t)
 
 
 def estimate_k_position(oracle: Oracle, y: int, m: int) -> KPosEstimate:

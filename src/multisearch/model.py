@@ -22,14 +22,16 @@ chunks of at most ``DRAW_BUFFER``, so the generator stands exactly
 ground-truth helper ``k_position_true`` are for the harness and tests only.
 Each argument rule is stated once, here, and returns the value it
 accepted: ``as_int`` (every integer), ``check_seed``, ``check_n_k``,
-``check_rho`` and ``check_delta``; ``check_int64_range`` bounds every
-range and size numpy draws. ``generator`` is the one place a seed
-becomes a PCG64 generator.
+``check_rho`` and ``check_delta``; beside them, ``ceil_log2``, the one
+least-index search ``least``, and ``check_plan`` on a solve's plan. The
+generators' int64 rule is in ``instances``. ``generator`` is the one place
+a seed becomes a PCG64 generator.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -56,6 +58,10 @@ DRAW_BUFFER = 1 << 13
 # about 3x per double what the 1-D count does, but saves a Python call per
 # batch; measured on a 2-core x86-64 box, the two meet near 1,700 doubles a batch
 ROWS_2D = 5
+
+# the most queries a solve may plan: 2^40 doubles take about 48 minutes at
+# 2.6 ns each, over 7,000x the largest plan the tests or the benchmark run
+MAX_QUERIES = 1 << 40
 
 
 @dataclass(frozen=True)
@@ -113,6 +119,33 @@ def as_int(value, name: str, low: int = 0) -> int:
     return value
 
 
+def ceil_log2(n: int) -> int:
+    """ceil(log2 n) via bit length; 0 for n = 1."""
+    return (as_int(n, "n", 1) - 1).bit_length()
+
+
+def least(lo: int, hi: int, holds) -> int:
+    """The least v in [lo, hi) where the monotone ``holds(v)`` is true, or hi.
+
+    An explicit bisection: C bisect takes Py_ssize_t bounds, and m or n may not fit."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def check_plan(queries: int, solver: str, **params) -> None:
+    """DomainError, naming the solver and its parameters, when its
+    worst-case plan of ``queries`` exceeds MAX_QUERIES."""
+    if queries > MAX_QUERIES:
+        named = ", ".join(f"{name}={value}" for name, value in params.items())
+        raise DomainError(f"{solver} plans up to 2^{math.log2(queries):.1f} queries at "
+                          f"{named}, more than the cap of 2^{MAX_QUERIES.bit_length() - 1}")
+
+
 def check_seed(seed) -> int:
     """seed as an int by ``as_int``; DomainError unless it lies in [0, 2^64)."""
     seed = as_int(seed, "seed")
@@ -145,29 +178,6 @@ def check_delta(delta: float) -> float:
 def check_n_k(n: int, k: int) -> tuple[int, int]:
     """(n, k) as ints: an instance is k >= 1 values in [1, n]."""
     return as_int(n, "n", 1), as_int(k, "k", 1)
-
-
-def check_int64_range(value: int, name: str) -> None:
-    """Reject value >= 2^63: numpy takes a random instance's ranges and sizes as int64."""
-    if value >= 2**63:
-        raise DomainError(f"random instances need {name} below 2^63, got {value}")
-
-
-def sample_instance(n: int, k: int, mode: str, seed: int) -> Instance:
-    """Sample a random instance: k i.i.d. uniform values, or a uniform k-subset."""
-    n, k = check_n_k(n, k)
-    check_int64_range(n, "n")
-    check_int64_range(k, "k")
-    rng = generator(seed)
-    if mode == "with-replacement":
-        items = rng.integers(1, n + 1, size=k)
-    elif mode == "distinct":
-        if k > n:
-            raise DomainError(f"distinct sampling needs k <= n, got k={k}, n={n}")
-        items = rng.choice(n, size=k, replace=False) + 1
-    else:
-        raise DomainError(f"unknown sampling mode {mode!r}")
-    return make_instance(n, k, items.tolist())
 
 
 def leq_probability(k_pos: int, k: int, rho: float = 1.0) -> float:

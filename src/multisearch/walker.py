@@ -26,7 +26,7 @@ answers, so a step-by-step walk takes every one of them. One
 at a time, and none past it. ``walk_step`` states one step on
 k-position estimates; it is the reference: a walk asks its queries in
 its order, so they are a prefix of those of m ``walk_step`` calls on the
-same oracle, and its value is theirs.
+same oracle, and its value is theirs. The walk length reads ``model.ceil_log2``.
 
 Because single estimates err with probability < 0.3 per step while the
 correct direction is taken with probability > 0.7, the walk drifts toward
@@ -41,7 +41,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .kposition import count_threshold, estimate_k_position, queries_for_confidence
-from .model import DomainError, Oracle, as_int, check_delta, check_oracle_shape
+from .model import (DomainError, Oracle, as_int, ceil_log2, check_delta, check_oracle_shape,
+                    check_plan)
 from .reports import SolverReport
 
 # Per-step endpoint checks use budget for failure prob 1/8 each (8k^2 at
@@ -92,11 +93,6 @@ class WalkConfig:
             step1_m=queries_for_confidence(k, STEP1_DELTA, rho),
             step2_m=queries_for_confidence(k, STEP2_DELTA, rho),
         )
-
-
-def ceil_log2(n: int) -> int:
-    """ceil(log2 n) via bit length; 0 for n = 1."""
-    return (as_int(n, "n", 1) - 1).bit_length()
 
 
 def choose_walk_length(n: int, delta: float) -> int:
@@ -213,4 +209,6 @@ def solve_walker(oracle: Oracle, n: int, k: int, delta: float) -> SolverReport:
     """
     n, k = check_oracle_shape(oracle, n, k)
     cfg = WalkConfig.for_problem(n, k, delta, oracle.noise.rho)
+    check_plan(k * cfg.m * (2 * cfg.step1_m + cfg.step2_m), "walker",
+               n=n, k=k, rho=oracle.noise.rho, delta=delta)
     return SolverReport.of_values(oracle, (find_tth(oracle, t, cfg) for t in range(1, k + 1)))

@@ -14,11 +14,11 @@ from multisearch.analysis import (berndiv_bound_check, estimator_success_prob,
                                   kl_bernoulli, ml_decode)
 from multisearch.bench import ExperimentConfig, fit_scaling, run_experiment
 from multisearch.dense import solve_dense, solve_naive
-from multisearch.instances import bin_instance, cluster_instance
+from multisearch.instances import bin_instance, cluster_instance, sample_instance
 from multisearch.kposition import estimate_k_position, queries_for_confidence
-from multisearch.model import NoiseModel, Oracle, make_instance, sample_instance
+from multisearch.model import NoiseModel, Oracle, ceil_log2, make_instance
 from multisearch.seeds import derive_seed
-from multisearch.walker import ceil_log2, solve_walker
+from multisearch.walker import solve_walker
 
 
 def _report(name, ok, detail=""):

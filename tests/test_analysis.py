@@ -113,7 +113,7 @@ def test_ml_decode_zero_likelihood_elimination():
     assert ml_decode([(1, 1, 0)] * 10, 2, 1) == (2,)
 
 
-def test_ml_decode_empty_transcript_tie_break():
+def test_ml_decode_no_batches_tie_break():
     assert ml_decode([], 3, 1) == (1,)
     assert ml_decode([], 3, 2) == (1, 1)
 

@@ -2,7 +2,9 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import re
+import time
 from pathlib import Path
 from typing import NamedTuple
 
@@ -10,11 +12,14 @@ import pytest
 
 import multisearch.bench
 import multisearch.cli
+from multisearch import model
 from multisearch.bench import (CSV_HEADER, SOLVERS, DataError, ExperimentConfig,
                                fit_scaling, run_experiment)
 from multisearch.cli import build_parser, main
-from multisearch.model import DomainError, make_instance
+from multisearch.kposition import _queries_for_exponent
+from multisearch.model import DomainError, ceil_log2, make_instance
 from multisearch.seeds import derive_seed
+from multisearch.walker import WalkConfig
 
 
 def test_fit_scaling_synthetic_cube():
@@ -24,8 +29,6 @@ def test_fit_scaling_synthetic_cube():
 
 def test_fit_scaling_walker_n_sweep():
     # walk length is 70 * ceil(log2 n), so queries are linear in log2 n
-    from multisearch.walker import ceil_log2
-
     points = []
     for n in (2**8, 2**10, 2**12, 2**14):
         res = run_experiment(_config(n=n, k=4, trials=5, master_seed=71))
@@ -288,6 +291,19 @@ def test_cli_usage_error_exit_2(tmp_path):
         assert "delta" not in proc.stderr, (c, proc.stderr)
 
 
+@pytest.mark.parametrize("algo", list(SOLVERS))
+def test_cli_plan_above_the_cap_exits_2(algo):
+    # at rho = 1/2 + 1e-10 the budgets scale by 1e20: walker, naive and dense
+    # plan about 1.5e24, 8.3e21 and 9.8e21 queries, and each refuses the
+    # plan before its first draw instead of drawing for millennia
+    start = time.perf_counter()
+    proc = _cli("solve", "--n", "8", "--k", "2", "--rho", "0.5000000001", "--algo", algo)
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+    assert proc.stderr.startswith(f"error: {algo} plans") and "rho=0.5000000001" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 # (flag, bad value, the algos that read the flag): each is checked by its
 # reader, so it exits 2 under those algos and is not read under the others
 FLAG_OWNERS = [("--rho", "0.5", tuple(SOLVERS)), ("--rho", "nan", tuple(SOLVERS)),
@@ -438,3 +454,39 @@ def test_cli_rows_pinned_csv_equals_json():
     assert [list(r) for r in json_rows] == [CSV_HEADER] * 3
     strip = lambda rows: [{h: v for h, v in r.items() if h != "elapsed_ms"} for r in rows]
     assert strip(json_rows) == strip(csv_rows)
+
+
+def _plan(algo, n, k, delta=0.1, rho=1.0, c=1.0):
+    """A solver's worst-case query plan, stated apart from the solver."""
+    if algo == "walker":
+        cfg = WalkConfig.for_problem(n, k, delta, rho)
+        return k * cfg.m * (2 * cfg.step1_m + cfg.step2_m)
+    if algo == "naive":
+        bits = max(1, ceil_log2(n))
+        return k * bits * _queries_for_exponent(k, math.log2(k * bits) - math.log2(delta), rho)
+    return (n - 1) * _queries_for_exponent(k, (c + 1.0) * math.log2(n), rho)
+
+
+@pytest.mark.parametrize("kw, expected", SEED7_ROWS,
+                         ids=[f"{kw.get('algo', 'walker')}-{kw.get('instance', 'uniform')}"
+                              for kw, _ in SEED7_ROWS])
+def test_pinned_rows_draw_within_their_plan(tmp_path, monkeypatch, kw, expected):
+    # the plan each solver checks against MAX_QUERIES is _plan's: a cap one
+    # below it refuses the solve, and at it the pinned rows run; each draws
+    # no more than its plan, and dense draws exactly its plan
+    kw = {"n": 16, "k": 4, "trials": 2, "master_seed": 7, **kw}
+    n, k, algo = kw["n"], kw["k"], kw.get("algo", "walker")
+    if kw.get("instance") == "file":
+        path = tmp_path / "inst.json"
+        path.write_text(make_instance(12, 3, [2, 7, 7]).to_json())
+        kw["instance"], n, k = f"file:{path}", 12, 3
+    plan = _plan(algo, n, k)
+    monkeypatch.setattr(model, "MAX_QUERIES", plan - 1)
+    with pytest.raises(DomainError, match=f"{algo} plans"):
+        run_experiment(_config(**kw))
+    monkeypatch.setattr(model, "MAX_QUERIES", plan)
+    queries = run_experiment(_config(**kw)).queries
+    assert [int(row.split(",")[6]) for row in expected] == queries
+    assert max(queries) <= plan
+    if algo == "dense":
+        assert queries == [plan, plan]

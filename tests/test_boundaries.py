@@ -9,14 +9,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import multisearch
 from multisearch import dense, model, walker
 from multisearch.analysis import estimator_success_prob, ml_decode
 from multisearch.bench import ExperimentConfig, fit_scaling
 from multisearch.dense import solve_dense, solve_naive
-from multisearch.instances import bin_instance, cluster_instance
+from multisearch.instances import bin_instance, cluster_instance, sample_instance
 from multisearch.kposition import count_threshold, queries_for_confidence
 from multisearch.model import (DomainError, Instance, NoiseModel, Oracle, k_position_true,
-                               make_instance, sample_instance)
+                               make_instance)
 from multisearch.walker import (WalkConfig, WalkNode, choose_walk_length, find_tth,
                                 parent_of, solve_walker)
 
@@ -94,6 +95,22 @@ def test_one_place_builds_a_generator():
              if "PCG64(" in line]
     assert len(found) == 1, found
     assert found[0][0] == "model.py"
+
+
+def test_each_rule_has_one_home():
+    # the least-index bisection, the int64 rule and the generators that use
+    # it, and ceil_log2 each live in one module; the reference-only walk
+    # node and estimate record stay out of the top level
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    bisections = [name for name, text in sources.items()
+                  for line in text.splitlines() if "while lo < hi" in line]
+    assert bisections == ["model.py"]
+    for definition in ("def check_int64_range", "def sample_instance"):
+        assert [name for name, text in sources.items() if definition in text] == \
+            ["instances.py"], definition
+    assert [name for name in ("dense.py", "cli.py") if "from .walker" in sources[name]] == []
+    assert {"WalkNode", "KPosEstimate", "estimate_k_position"} & set(multisearch.__all__) == set()
 
 
 def test_numpy_integer_seed_is_the_int_seed():
@@ -213,6 +230,12 @@ def test_perfbench_selftest_passes():
     (lambda: sample_instance(8, 2**64, "with-replacement", 0), r"k below 2\^63"),
     (lambda: cluster_instance(2**70, 2**64, 0), r"k below 2\^63"),
     (lambda: bin_instance(2**70, 2**66, 0), r"k below 2\^63"),
+    (lambda: solve_walker(Oracle(INST, NoiseModel(0.5000000001)), 8, 2, 0.1),
+     r"walker plans .*rho=0\.5000000001, delta=0\.1"),
+    (lambda: solve_naive(Oracle(INST, NoiseModel(0.5000000001)), 8, 2, 0.1),
+     r"naive plans .*rho=0\.5000000001, delta=0\.1"),
+    (lambda: solve_dense(Oracle(INST, NoiseModel(0.5000000001)), 8, 2, 1.0),
+     r"dense plans .*rho=0\.5000000001, c=1\.0"),
     *[(lambda make=make, seed=seed: make(seed), "seed")
       for make in SEEDED.values() for seed in (-1, 2**64)],
 ], ids=["walk_length-n=0", "for_problem-n=0", "success_prob-k=0", "success_prob-rho=0.5",
@@ -224,6 +247,7 @@ def test_perfbench_selftest_passes():
         "WalkNode-chain_depth=-1", "parent_of-root", "parent_of-[20,30]-outside",
         "parent_of-[2,5]-straddles", "parent_of-[2,3]-straddles",
         "sample_instance-k=2^64", "cluster-k=2^64", "bins-k=2^66",
+        "walker-plan>cap", "naive-plan>cap", "dense-plan>cap",
         *[f"{name}-seed={seed}" for name in SEEDED for seed in ("-1", "2^64")]])
 def test_out_of_domain_arguments_raise_domain_error(call, named):
     with pytest.raises(DomainError, match=named):

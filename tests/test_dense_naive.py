@@ -9,10 +9,10 @@ from multisearch.dense import (multiset_from_profile, repair_monotone,
                                solve_dense, solve_naive)
 from multisearch.kposition import (_queries_for_exponent, estimate_k_position,
                                    queries_for_confidence)
-from multisearch.model import (DomainError, NoiseModel, Oracle, k_position_true,
+from multisearch.model import (DomainError, NoiseModel, Oracle, ceil_log2, k_position_true,
                                make_instance)
 from multisearch.seeds import derive_seed
-from multisearch.walker import WalkConfig, ceil_log2, find_tth, solve_walker
+from multisearch.walker import WalkConfig, find_tth, solve_walker
 
 
 def test_ground_truth_profile_recovers_instance():

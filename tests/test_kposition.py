@@ -2,7 +2,7 @@ import pytest
 
 from multisearch.analysis import estimator_success_prob
 from multisearch.kposition import (_estimate, count_threshold, estimate_k_position,
-                                   queries_for_confidence, round_to_grid)
+                                   queries_for_confidence)
 from multisearch.model import DomainError, NoiseModel, Oracle, make_instance
 from multisearch.seeds import derive_seed
 
@@ -31,11 +31,11 @@ def test_round_to_grid_projection_and_ties():
     # exact grid points are fixed points
     for k in (1, 2, 3, 5, 8):
         for i in range(k + 1):
-            assert round_to_grid(i / k, k) == i
+            assert _estimate(i, k, k, 1.0) == i
     # midpoint ties break toward the smaller index
-    assert round_to_grid(0.25, 2) == 0
-    assert round_to_grid(0.75, 2) == 1
-    assert round_to_grid(0.5, 1) == 0
+    assert _estimate(1, 4, 2, 1.0) == 0
+    assert _estimate(3, 4, 2, 1.0) == 1
+    assert _estimate(1, 2, 1, 1.0) == 0
 
 
 def test_boundary_shortcuts_cost_nothing():

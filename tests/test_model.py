@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from multisearch.analysis import binom_pmf
+from multisearch.instances import sample_instance
 from multisearch.kposition import estimate_k_position
 from multisearch.model import (DRAW_BUFFER, ROWS_2D, DomainError, Instance,
                                NoiseModel, Oracle, k_position_true,
-                               leq_probability, make_instance, sample_instance)
+                               leq_probability, make_instance)
 
 
 def test_make_instance_canonical():
@@ -272,7 +273,7 @@ def test_query_batch_is_one_row_of_query_rows(m):
     assert a._rng.bit_generator.state == b._rng.bit_generator.state
 
 
-def test_query_batch_and_query_go_through_query_rows(monkeypatch):
+def test_query_batch_goes_through_query_rows(monkeypatch):
     def refused(self, ys, m, rows):
         raise RuntimeError("query_rows refused")
 
