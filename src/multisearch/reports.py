@@ -14,8 +14,11 @@ class SolverReport:
 
     ``recovered`` is sorted ascending. ``per_target`` holds one
     (t, value-or-None, queries) triple per hidden element, charged the
-    queries made while its value was found; None marks a failed target, left
-    out of ``recovered``. The caller that holds the instance
+    queries the oracle drew while its value was found; None marks a failed
+    target, left out of ``recovered``. A walker target is charged the fresh
+    draws its walk caused: counts an earlier walk pooled cost it nothing,
+    so its charge depends on the order of t. The charges sum to the
+    oracle's ``query_count``. The caller that holds the instance
     (``bench.run_experiment``) judges the recovery, never the solver.
     """
 

@@ -22,11 +22,24 @@ X2; one that fails pops the walk's path of tree nodes. Chain steps are
 taken in guaranteed-step blocks (``chain_block``): steps that can neither
 bring the walk back to its tree node nor meet the stop, whatever their
 answers, so a step-by-step walk takes every one of them. One
-``Oracle.query_rows`` call draws a node's endpoint counts, a block's rows
-at a time, and none past it. ``walk_step`` states one step on
-k-position estimates; it is the reference: a walk asks its queries in
-its order, so they are a prefix of those of m ``walk_step`` calls on the
-same oracle, and its value is theirs. The walk length reads ``model.ceil_log2``.
+``query_rows`` call draws a node's endpoint counts, a block's rows at a
+time, and none past it. ``walk_step`` states one step on k-position
+estimates; it is the reference: a walk asks its queries in its order, so
+they are a prefix of those of m ``walk_step`` calls on the same oracle,
+and its value is theirs. The walk length reads ``model.ceil_log2``.
+
+``solve_walker`` runs its k walks over one count pool, each reading it
+through its own ``PoolView``. Per (y, m) the pooled counts are i.i.d.
+Binomial(m, p_y), independent across keys, and a walk reads each at most
+once and in order, so each walk's law is that of a walk on a fresh
+oracle, its queries a prefix of those of m ``walk_step`` calls on its
+view. The per-target failure bound and the union bound over targets
+hold as before; only the joint law across targets changes. A target is
+charged the fresh draws its walk caused, so its charge depends on the
+order of t. The pool stores one int64 per batch drawn, at most
+3 * k * m of them (two endpoints and a midpoint a step), a number that
+grows with k log n and not with the query budget; joining a key's
+chunks copies them, so at most twice that is held.
 
 Because single estimates err with probability < 0.3 per step while the
 correct direction is taken with probability > 0.7, the walk drifts toward
@@ -39,6 +52,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from .kposition import count_threshold, estimate_k_position, queries_for_confidence
 from .model import (DomainError, Oracle, as_int, ceil_log2, check_delta, check_oracle_shape,
@@ -201,14 +216,80 @@ def find_tth(oracle: Oracle, t: int, cfg: WalkConfig) -> Optional[int]:
     return a if a == b else None
 
 
-def solve_walker(oracle: Oracle, n: int, k: int, delta: float) -> SolverReport:
-    """Recover all k hidden elements by k independent random walks.
+class PoolView:
+    """One walk's reader of the count pool that the walks of a solve share.
 
-    The query-complexity guarantee is stated for k <= n; the walk itself
-    runs for any k >= 1 (for n = 1 it trivially parks on the only leaf).
+    ``pool[m][y]`` lists, in draw order, every count of m queries of y
+    that any view of the pool has drawn, as chunks ``(counts, j)``: column
+    j of one oracle call's counts, joined into one column when next read.
+    The view has the oracle's query interface (``n``, ``k``, ``noise``,
+    ``query_rows``, ``query_batch``), so ``find_tth`` reads it as an
+    oracle. It holds a read cursor on each key pooled when it was opened,
+    until it has read that key to the end; open it when its walk starts.
+    ``query_rows(ys, m, rows)`` serves each y its unread pooled counts, up
+    to ``rows``, then draws the shortfalls, one ``oracle.query_rows`` call
+    for all ys that share a shortfall, and pools them. So a view that
+    reads nothing pooled makes the oracle's own calls, and each view reads
+    each entry at most once, in order. The arrays it returns may be
+    pooled: read them, never write them.
+    """
+
+    def __init__(self, oracle: Oracle, pool: dict):
+        self.oracle, self.pool = oracle, pool
+        self.n, self.k, self.noise = oracle.n, oracle.k, oracle.noise
+        # the read cursor of each key that holds counts this view has not read
+        self.unread = {m: dict.fromkeys(ys, 0) for m, ys in pool.items()}
+
+    def query_batch(self, y: int, m: int) -> int:
+        return self.query_rows([y], m, 1).item()
+
+    def query_rows(self, ys, m: int, rows: int) -> np.ndarray:
+        unread = self.unread.get(m)
+        if not unread or unread.keys().isdisjoint(ys):
+            # nothing pooled to read: the oracle's own call, its counts pooled
+            counts = self.oracle.query_rows(ys, m, rows)
+            entries = self.pool.setdefault(m, {})
+            for j, y in enumerate(ys):
+                entries.setdefault(y, []).append((counts, j))
+            return counts
+        entries = self.pool[m]
+        counts = np.empty((rows, len(ys)), dtype=np.int64)
+        shortfalls = {}
+        for j, y in enumerate(ys):
+            took = 0
+            if y in unread:
+                chunks, r = entries[y], unread[y]
+                if len(chunks) > 1:
+                    chunks[:] = [(np.concatenate([c[:, i] for c, i in chunks])[:, None], 0)]
+                column, i = chunks[0]
+                took = min(rows, len(column) - r)
+                counts[:took, j] = column[r:r + took, i]
+                if r + took < len(column):
+                    unread[y] = r + took
+                else:
+                    del unread[y]
+            if took < rows:
+                shortfalls.setdefault(rows - took, []).append(j)
+        for short, cols in shortfalls.items():
+            # none of these ys has an unread count left: the branch above
+            fresh = self.query_rows([ys[j] for j in cols], m, short)
+            for i, j in enumerate(cols):
+                counts[rows - short:, j] = fresh[:, i]
+        return counts
+
+
+def solve_walker(oracle: Oracle, n: int, k: int, delta: float) -> SolverReport:
+    """Recover all k hidden elements by k random walks over one count pool.
+
+    Each walk reads the pool through its own ``PoolView``, opened when the
+    walk starts; a target is charged the fresh draws it caused. The
+    query-complexity guarantee is stated for k <= n; the walk itself runs
+    for any k >= 1 (for n = 1 it trivially parks on the only leaf).
     """
     n, k = check_oracle_shape(oracle, n, k)
     cfg = WalkConfig.for_problem(n, k, delta, oracle.noise.rho)
     check_plan(k * cfg.m * (2 * cfg.step1_m + cfg.step2_m), "walker",
                n=n, k=k, rho=oracle.noise.rho, delta=delta)
-    return SolverReport.of_values(oracle, (find_tth(oracle, t, cfg) for t in range(1, k + 1)))
+    pool = {}
+    return SolverReport.of_values(
+        oracle, (find_tth(PoolView(oracle, pool), t, cfg) for t in range(1, k + 1)))

@@ -396,17 +396,17 @@ def test_rng_stream_pinned():
 # config's (its rows report the file's n and k)
 SEED7_ROWS = [
     (dict(instance="uniform"), [
-        "0,7191089600892374487,16,4,walker,uniform,128128,true",
-        "1,309689372594955804,16,4,walker,uniform,146688,true"]),
+        "0,7191089600892374487,16,4,walker,uniform,71968,true",
+        "1,309689372594955804,16,4,walker,uniform,108960,true"]),
     (dict(instance="distinct"), [
-        "0,7191089600892374487,16,4,walker,distinct,110720,true",
-        "1,309689372594955804,16,4,walker,distinct,146816,true"]),
+        "0,7191089600892374487,16,4,walker,distinct,72960,true",
+        "1,309689372594955804,16,4,walker,distinct,144704,true"]),
     (dict(instance="cluster"), [
-        "0,7191089600892374487,16,4,walker,cluster,128896,true",
-        "1,309689372594955804,16,4,walker,cluster,128544,true"]),
+        "0,7191089600892374487,16,4,walker,cluster,126816,true",
+        "1,309689372594955804,16,4,walker,cluster,126944,true"]),
     (dict(instance="bins"), [
-        "0,7191089600892374487,16,4,walker,bins,110720,true",
-        "1,309689372594955804,16,4,walker,bins,110336,true"]),
+        "0,7191089600892374487,16,4,walker,bins,90368,true",
+        "1,309689372594955804,16,4,walker,bins,91040,true"]),
     (dict(algo="naive"), [
         "0,7191089600892374487,16,4,naive,uniform,4272,true",
         "1,309689372594955804,16,4,naive,uniform,4272,true"]),
@@ -414,8 +414,8 @@ SEED7_ROWS = [
         "0,7191089600892374487,4,8,dense,uniform,1920,true",
         "1,309689372594955804,4,8,dense,uniform,1920,true"]),
     (dict(instance="file", n=99, k=5), [
-        "0,7191089600892374487,12,3,walker,{file},61632,true",
-        "1,309689372594955804,12,3,walker,{file},61632,true"]),
+        "0,7191089600892374487,12,3,walker,{file},41022,true",
+        "1,309689372594955804,12,3,walker,{file},40878,true"]),
 ]
 
 
@@ -445,9 +445,9 @@ def test_cli_rows_pinned_csv_equals_json():
     assert lines[0].split(",") == CSV_HEADER
     csv_rows = [dict(zip(CSV_HEADER, line.split(","))) for line in lines[1:]]
     assert [",".join(r[h] for h in CSV_HEADER[:8]) for r in csv_rows] == [
-        "0,7191089600892374487,64,4,walker,uniform,193280,true",
-        "1,309689372594955804,64,4,walker,uniform,220160,true",
-        "2,16616101746815609346,64,4,walker,uniform,220192,true"]
+        "0,7191089600892374487,64,4,walker,uniform,189312,true",
+        "1,309689372594955804,64,4,walker,uniform,191744,true",
+        "2,16616101746815609346,64,4,walker,uniform,191296,true"]
     as_csv = lambda v: ("true" if v else "false") if isinstance(v, bool) else str(v)
     json_rows = [{h: as_csv(v) for h, v in row.items()}
                  for row in json.loads(by_format["json"])]

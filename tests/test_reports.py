@@ -57,5 +57,9 @@ def test_per_target_is_the_query_count_between_values(monkeypatch, algo):
     if algo == "dense":
         # the whole profile is read when t = 1 is asked for
         assert [q for _, _, q in r.per_target] == [o.query_count, 0, 0, 0]
-    else:
+    elif algo == "naive":
         assert all(q > 0 for _, _, q in r.per_target)
+    else:
+        # the walks share a count pool: target 1 draws, and a later target,
+        # such as the repeated 7, may read only what earlier walks drew
+        assert r.per_target[0][2] > 0

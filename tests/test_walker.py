@@ -1,8 +1,14 @@
+import math
+import statistics
+
 import pytest
 
+import multisearch.walker
+from multisearch.bench import ExperimentConfig, run_experiment
+from multisearch.instances import bin_instance
 from multisearch.model import DomainError, NoiseModel, Oracle, make_instance
 from multisearch.seeds import derive_seed
-from multisearch.walker import (WalkConfig, WalkNode, chain_block, children,
+from multisearch.walker import (PoolView, WalkConfig, WalkNode, chain_block, children,
                                 choose_walk_length, find_tth, midpoint,
                                 parent_of, solve_walker, walk_step)
 
@@ -301,3 +307,110 @@ def test_wrong_move_fraction_below_bound():
                 total += 1
                 node = nxt
     assert wrong / total < 0.3
+
+
+def _recording_views(monkeypatch):
+    """Every PoolView solve_walker opens, in order."""
+    views = []
+
+    class Recorded(PoolView):
+        def __init__(self, oracle, pool):
+            super().__init__(oracle, pool)
+            views.append(self)
+
+    monkeypatch.setattr(multisearch.walker, "PoolView", Recorded)
+    return views
+
+
+def test_an_empty_pool_is_the_oracle():
+    # target 1 reads an empty pool: the value, the charge and the stream
+    # position of a walk on the oracle itself
+    inst = make_instance(64, 8, [3, 9, 9, 20, 33, 33, 50, 64])
+    cfg = _cfg(64, 8, rho=0.9)
+    for i in range(5):
+        seed = derive_seed(28, i)
+        pooled = Oracle(inst, NoiseModel(0.9), seed=seed)
+        alone = Oracle(inst, NoiseModel(0.9), seed=seed)
+        r = solve_walker(pooled, 64, 8, 0.1)
+        assert r.per_target[0] == (1, find_tth(alone, 1, cfg), alone.query_count)
+    # a k = 1 solve shares nothing: the rows of the unpooled walker
+    res = run_experiment(ExperimentConfig(n=64, k=1, instance="uniform", rho=0.55,
+                                          trials=3, master_seed=28))
+    assert [r["queries"] for r in res.rows] == [345400, 342800, 346000]
+
+
+def test_every_fresh_draw_is_pooled_once(monkeypatch):
+    views = _recording_views(monkeypatch)
+    for inst, rho in [(make_instance(16, 4, [2, 7, 7, 13]), 0.9),
+                      (bin_instance(64, 8, seed=derive_seed(29, 0)), 0.9),
+                      (make_instance(16, 4, [7, 7, 7, 7]), 1.0)]:
+        views.clear()
+        o = Oracle(inst, NoiseModel(rho), seed=derive_seed(29, inst.n))
+        solve_walker(o, inst.n, inst.k, 0.1)
+        assert len(views) == inst.k
+        pool = views[0].pool
+        assert all(v.pool is pool for v in views)
+        length = {(y, m): sum(len(counts) for counts, _ in chunks)
+                  for m, ys in pool.items() for y, chunks in ys.items()}
+        assert sum(m * n for (_, m), n in length.items()) == o.query_count
+        for v in views:
+            for m, cursors in v.unread.items():
+                assert all(r <= length[y, m] for y, r in cursors.items())
+
+
+def test_the_pool_saves_repeated_walks():
+    # at rho = 1 every count is 0 or m, so the four walks of 7 take the same
+    # steps: walks 2 to 4 read walk 1's counts and draw nothing
+    o = Oracle(make_instance(16, 4, [7, 7, 7, 7]), seed=derive_seed(30, 0))
+    r = solve_walker(o, 16, 4, 0.1)
+    assert r.recovered == [7, 7, 7, 7]
+    (_, _, q), *rest = r.per_target
+    assert q > 0 and [c for _, _, c in rest] == [0, 0, 0]
+
+
+class _Reads:
+    """An oracle or a view, counting the queries a walk reads through it."""
+
+    def __init__(self, source):
+        self.source, self.read = source, 0
+        self.n, self.k, self.noise = source.n, source.k, source.noise
+
+    def query_rows(self, ys, m, rows):
+        self.read += len(ys) * m * rows
+        return self.source.query_rows(ys, m, rows)
+
+    def query_batch(self, y, m):
+        return self.query_rows([y], m, 1).item()
+
+
+def _two_sample_z(a, b):
+    """z of the difference in failure rate and in mean read queries."""
+    fails = [sum(f for f, _ in s) / len(s) for s in (a, b)]
+    p = (fails[0] + fails[1]) / 2
+    z_fail = (fails[0] - fails[1]) / math.sqrt(p * (1 - p) * (1 / len(a) + 1 / len(b)))
+    reads = [[q for _, q in s] for s in (a, b)]
+    z_reads = ((statistics.fmean(reads[0]) - statistics.fmean(reads[1]))
+               / math.sqrt(sum(statistics.variance(q) / len(q) for q in reads)))
+    return z_fail, z_reads
+
+
+def test_a_pooled_walk_has_the_law_of_a_fresh_one():
+    # bins n=64, k=8, rho=0.9, walk 30 at budgets 40/50: walk t=3 read
+    # through a pool fed by walks 1 and 2 against fresh walks of t=3, 1,000
+    # each, seeds and |z| <= 4 fixed before the first run
+    inst, noise = bin_instance(64, 8, seed=derive_seed(280, 0)), NoiseModel(0.9)
+    cfg = WalkConfig(30, 40, 50)
+    fresh, pooled, drawn = [], [], 0
+    for i in range(1000):
+        reads = _Reads(Oracle(inst, noise, seed=derive_seed(281, i)))
+        fresh.append((find_tth(reads, 3, cfg) != inst.items[2], reads.read))
+        o, pool = Oracle(inst, noise, seed=derive_seed(282, i)), {}
+        for t in (1, 2):
+            find_tth(PoolView(o, pool), t, cfg)
+        reads, before = _Reads(PoolView(o, pool)), o.query_count
+        pooled.append((find_tth(reads, 3, cfg) != inst.items[2], reads.read))
+        drawn += o.query_count - before
+    # the pool is in use: walk 3 reads more than it draws
+    assert drawn < 0.9 * sum(q for _, q in pooled)
+    z_fail, z_reads = _two_sample_z(fresh, pooled)
+    assert abs(z_fail) <= 4 and abs(z_reads) <= 4, (z_fail, z_reads)
