@@ -29,17 +29,8 @@ they are a prefix of those of m ``walk_step`` calls on the same oracle,
 and its value is theirs. The walk length reads ``model.ceil_log2``.
 
 ``solve_walker`` runs its k walks over one count pool, each reading it
-through its own ``PoolView``. Per (y, m) the pooled counts are i.i.d.
-Binomial(m, p_y), independent across keys, and a walk reads each at most
-once and in order, so each walk's law is that of a walk on a fresh
-oracle, its queries a prefix of those of m ``walk_step`` calls on its
-view. The per-target failure bound and the union bound over targets
-hold as before; only the joint law across targets changes. A target is
-charged the fresh draws its walk caused, so its charge depends on the
-order of t. The pool stores one int64 per batch drawn, at most
-3 * k * m of them (two endpoints and a midpoint a step), a number that
-grows with k log n and not with the query budget; joining a key's
-chunks copies them, so at most twice that is held.
+through its own ``PoolView``; README's "Notes on accounting" states the
+pool's rule, its law and its memory bound.
 
 Because single estimates err with probability < 0.3 per step while the
 correct direction is taken with probability > 0.7, the walk drifts toward
@@ -182,7 +173,8 @@ def chain_block(depth: int, left: int) -> int:
 
 def find_tth(oracle: Oracle, t: int, cfg: WalkConfig) -> Optional[int]:
     """Walk cfg.m steps from the root, or until the value is decided;
-    return the leaf value, or None on failure."""
+    return the leaf value, or None on failure. Of ``oracle`` it reads
+    ``n``, ``k``, ``noise`` and ``query_rows``."""
     if not isinstance(cfg, WalkConfig):
         raise TypeError(f"cfg must be a WalkConfig, got {cfg!r}")
     n, k, rho = oracle.n, oracle.k, oracle.noise.rho
@@ -211,7 +203,7 @@ def find_tth(oracle: Oracle, t: int, cfg: WalkConfig) -> Optional[int]:
             depth += 2 * int(holds.sum()) - rows
         else:
             u = (a + b) // 2
-            path.append((u + 1, b) if oracle.query_batch(u, m2) < x2 else (a, u))
+            path.append((u + 1, b) if oracle.query_rows([u], m2, 1).item() < x2 else (a, u))
     a, b = path[-1]
     return a if a == b else None
 
@@ -219,70 +211,49 @@ def find_tth(oracle: Oracle, t: int, cfg: WalkConfig) -> Optional[int]:
 class PoolView:
     """One walk's reader of the count pool that the walks of a solve share.
 
-    ``pool[m][y]`` lists, in draw order, every count of m queries of y
-    that any view of the pool has drawn, as chunks ``(counts, j)``: column
-    j of one oracle call's counts, joined into one column when next read.
-    The view has the oracle's query interface (``n``, ``k``, ``noise``,
-    ``query_rows``, ``query_batch``), so ``find_tth`` reads it as an
-    oracle. It holds a read cursor on each key pooled when it was opened,
-    until it has read that key to the end; open it when its walk starts.
-    ``query_rows(ys, m, rows)`` serves each y its unread pooled counts, up
-    to ``rows``, then draws the shortfalls, one ``oracle.query_rows`` call
-    for all ys that share a shortfall, and pools them. So a view that
-    reads nothing pooled makes the oracle's own calls, and each view reads
-    each entry at most once, in order. The arrays it returns may be
-    pooled: read them, never write them.
+    Open it when its walk starts: it reads only what was pooled before.
+    The arrays it returns may be pooled: read them, never write them.
     """
 
     def __init__(self, oracle: Oracle, pool: dict):
         self.oracle, self.pool = oracle, pool
         self.n, self.k, self.noise = oracle.n, oracle.k, oracle.noise
         # the read cursor of each key that holds counts this view has not read
-        self.unread = {m: dict.fromkeys(ys, 0) for m, ys in pool.items()}
+        self.unread = dict.fromkeys(pool, 0)
 
-    def query_batch(self, y: int, m: int) -> int:
-        return self.query_rows([y], m, 1).item()
+    def _draw(self, ys, m: int, rows: int) -> np.ndarray:
+        counts = self.oracle.query_rows(ys, m, rows)
+        for j, y in enumerate(ys):
+            self.pool.setdefault((y, m), []).append(counts[:, j])
+        return counts
 
     def query_rows(self, ys, m: int, rows: int) -> np.ndarray:
-        unread = self.unread.get(m)
-        if not unread or unread.keys().isdisjoint(ys):
-            # nothing pooled to read: the oracle's own call, its counts pooled
-            counts = self.oracle.query_rows(ys, m, rows)
-            entries = self.pool.setdefault(m, {})
-            for j, y in enumerate(ys):
-                entries.setdefault(y, []).append((counts, j))
-            return counts
-        entries = self.pool[m]
-        counts = np.empty((rows, len(ys)), dtype=np.int64)
-        shortfalls = {}
-        for j, y in enumerate(ys):
+        keys, unread = [(y, m) for y in ys], self.unread
+        if unread.keys().isdisjoint(keys):
+            return self._draw(ys, m, rows)
+        counts, shortfalls = np.empty((rows, len(ys)), dtype=np.int64), {}
+        for j, key in enumerate(keys):
             took = 0
-            if y in unread:
-                chunks, r = entries[y], unread[y]
-                if len(chunks) > 1:
-                    chunks[:] = [(np.concatenate([c[:, i] for c, i in chunks])[:, None], 0)]
-                column, i = chunks[0]
+            if key in unread:
+                columns, r = self.pool[key], unread.pop(key)
+                if len(columns) > 1:
+                    columns[:] = [np.concatenate(columns)]
+                column = columns[0]
                 took = min(rows, len(column) - r)
-                counts[:took, j] = column[r:r + took, i]
+                counts[:took, j] = column[r:r + took]
                 if r + took < len(column):
-                    unread[y] = r + took
-                else:
-                    del unread[y]
+                    unread[key] = r + took
             if took < rows:
                 shortfalls.setdefault(rows - took, []).append(j)
         for short, cols in shortfalls.items():
-            # none of these ys has an unread count left: the branch above
-            fresh = self.query_rows([ys[j] for j in cols], m, short)
-            for i, j in enumerate(cols):
-                counts[rows - short:, j] = fresh[:, i]
+            counts[rows - short:, cols] = self._draw([ys[j] for j in cols], m, short)
         return counts
 
 
 def solve_walker(oracle: Oracle, n: int, k: int, delta: float) -> SolverReport:
     """Recover all k hidden elements by k random walks over one count pool.
 
-    Each walk reads the pool through its own ``PoolView``, opened when the
-    walk starts; a target is charged the fresh draws it caused. The
+    A target is charged the fresh draws its walk caused. The
     query-complexity guarantee is stated for k <= n; the walk itself runs
     for any k >= 1 (for n = 1 it trivially parks on the only leaf).
     """

@@ -1,6 +1,8 @@
 import math
+import random
 import statistics
 
+import numpy as np
 import pytest
 
 import multisearch.walker
@@ -350,12 +352,46 @@ def test_every_fresh_draw_is_pooled_once(monkeypatch):
         assert len(views) == inst.k
         pool = views[0].pool
         assert all(v.pool is pool for v in views)
-        length = {(y, m): sum(len(counts) for counts, _ in chunks)
-                  for m, ys in pool.items() for y, chunks in ys.items()}
+        length = {key: sum(map(len, columns)) for key, columns in pool.items()}
         assert sum(m * n for (_, m), n in length.items()) == o.query_count
         for v in views:
-            for m, cursors in v.unread.items():
-                assert all(r <= length[y, m] for y, r in cursors.items())
+            assert all(r <= length[key] for key, r in v.unread.items())
+        # two endpoint checks and a midpoint a step, at most
+        cfg = WalkConfig.for_problem(inst.n, inst.k, 0.1, rho)
+        assert sum(length.values()) <= 3 * inst.k * cfg.m
+
+
+def test_views_read_their_keys_from_the_start():
+    # views opened one after another on one pool, as solve_walker opens
+    # them, each making 12 random query_rows calls: ys from the values
+    # around the items, m from two budgets, 1 to 4 rows; seeds fixed before
+    # the first run
+    inst, noise = make_instance(16, 4, [5, 6, 6, 9]), NoiseModel(0.9)
+    served = 0
+    for i in range(20):
+        calls = random.Random(derive_seed(290, i))
+        o, pool = Oracle(inst, noise, seed=derive_seed(291, i)), {}
+        bare = Oracle(inst, noise, seed=derive_seed(291, i))
+        for v in range(4):
+            view, read = PoolView(o, pool), {}
+            for _ in range(12):
+                ys = sorted(calls.sample(range(4, 11), calls.randint(1, 2)))
+                m, rows = calls.choice((8, 20)), calls.randint(1, 4)
+                counts = view.query_rows(ys, m, rows)
+                assert counts.shape == (rows, len(ys))
+                if v == 0:
+                    # the first view reads an empty pool: the oracle's calls
+                    assert (counts == bare.query_rows(ys, m, rows)).all()
+                for j, y in enumerate(ys):
+                    read.setdefault((y, m), []).extend(counts[:, j].tolist())
+                served += len(ys) * m * rows
+            # a view reads each key's pooled entries from the first, in order
+            for key, got in read.items():
+                assert got == np.concatenate(pool[key])[:len(got)].tolist()
+        assert sum(m * sum(map(len, cols)) for (_, m), cols in pool.items()) == o.query_count
+        served -= o.query_count
+    # the later views were served from the pool
+    assert served > 0
 
 
 def test_the_pool_saves_repeated_walks():
@@ -378,9 +414,6 @@ class _Reads:
     def query_rows(self, ys, m, rows):
         self.read += len(ys) * m * rows
         return self.source.query_rows(ys, m, rows)
-
-    def query_batch(self, y, m):
-        return self.query_rows([y], m, 1).item()
 
 
 def _two_sample_z(a, b):
