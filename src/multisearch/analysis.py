@@ -13,6 +13,9 @@ can drift apart from what it checks:
 - ``ml_decode``: brute-force maximum-likelihood recovery of the hidden
   multiset from (y, m, x) batches, each one ``Oracle.query_batch(y, m)``
   call and its LEQ count x, for desk-scale instances only.
+- ``dense_law``: the exact failure probability of ``solve_dense``, at
+  the per-point budget the solver reads, shared on purpose for the same
+  reason.
 """
 
 from __future__ import annotations
@@ -21,9 +24,10 @@ import math
 from bisect import bisect_right
 from itertools import combinations_with_replacement
 
-from .kposition import _estimate
-from .model import (CapacityError, DomainError, as_int, check_n_k, check_rho,
-                    leq_probability)
+from .dense import dense_point_budget
+from .kposition import _estimate, count_threshold
+from .model import (CapacityError, DomainError, Instance, as_int, check_n_k, check_rho,
+                    k_position_true, leq_probability)
 
 _NEG_INF = float("-inf")
 
@@ -82,6 +86,42 @@ def estimator_success_prob(k: int, m: int, k_true: int, rho: float = 1.0) -> flo
     p = leq_probability(k_true, k, rho)
     return math.fsum(binom_pmf(x, m, p) for x in range(m + 1)
                      if _estimate(x, m, k, rho) == k_true)
+
+
+def _binom_mass(lo: int, hi: int, m: int, p: float) -> float:
+    """Pr[lo <= Binomial(m, p) < hi], summed over the counts within
+    20 sqrt(m) of the mean (and a few more for rounding): by Hoeffding,
+    the mass beyond them is below 2 e^-800, under the least double."""
+    reach = 20 * math.isqrt(m) + 21
+    lo, hi = max(lo, math.floor(m * p) - reach), min(hi, math.ceil(m * p) + reach)
+    return math.fsum(binom_pmf(x, m, p) for x in range(lo, hi))
+
+
+def dense_law(instance: Instance, c: float, rho: float = 1.0) -> float:
+    """Exact probability that ``solve_dense`` at ``c`` and ``rho`` fails on ``instance``.
+
+    The repair is a running maximum and y = n is forced, so a solve
+    succeeds exactly when the estimate of each y < n equals K_y where
+    K_y > K_{y-1}, and is at most K_y at every other y < n. The estimates
+    of distinct y are independent, so the success is a product over y;
+    it is carried as the sum of log1p(-f_y), f_y the binomial mass of the
+    counts that fail at y, and the failure is returned as -expm1 of that
+    sum, never as 1 - success.
+    """
+    if not isinstance(instance, Instance):
+        raise TypeError(f"instance must be an Instance, got {instance!r}")
+    n, k, rho = instance.n, instance.k, check_rho(rho)
+    m = dense_point_budget(n, k, c, rho)
+    log_success, below = 0.0, 0
+    for y in range(1, n):
+        ky = k_position_true(instance, y)
+        p = leq_probability(ky, k, rho)
+        # the counts whose estimate is right at y: [lo, hi)
+        lo = count_threshold(ky, m, k, rho) if ky > below else 0
+        hi = count_threshold(ky + 1, m, k, rho) if ky < k else m + 1
+        log_success += math.log1p(-(_binom_mass(0, lo, m, p) + _binom_mass(hi, m + 1, m, p)))
+        below = ky
+    return -math.expm1(log_success)
 
 
 def ml_decode(batches, n: int, k: int, rho: float = 1.0) -> tuple[int, ...]:

@@ -35,18 +35,25 @@ def multiset_from_profile(profile: list[int]) -> list[int]:
     return [bisect_left(profile, t) + 1 for t in range(1, profile[-1] + 1)]
 
 
-def solve_dense(oracle: Oracle, n: int, k: int, c: float = 1.0) -> SolverReport:
-    """Recover the multiset from a full k-position profile over [1, n]."""
-    n, k = check_oracle_shape(oracle, n, k)
+def dense_point_budget(n: int, k: int, c: float, rho: float) -> int:
+    """Queries ``solve_dense`` spends on each y < n: per-point confidence
+    n^-(c+1). TypeError for a bool c; DomainError unless c > 0 gives a
+    finite budget. ``analysis.dense_law`` reads it too."""
     if isinstance(c, (bool, np.bool_)):
         raise TypeError(f"c must be a positive number, got {c!r}")
     if not c > 0:
         raise DomainError(f"c must be positive, got {c}")
-    # per-point delta n^-(c+1), passed as its exponent: it can underflow
+    # passed as its exponent: n^-(c+1) can underflow
     try:
-        m_pt = _queries_for_exponent(k, (c + 1.0) * math.log2(n), oracle.noise.rho)
+        return _queries_for_exponent(k, (c + 1.0) * math.log2(n), rho)
     except DomainError:
         raise DomainError(f"c={c} gives no finite query budget at n={n}, k={k}") from None
+
+
+def solve_dense(oracle: Oracle, n: int, k: int, c: float = 1.0) -> SolverReport:
+    """Recover the multiset from a full k-position profile over [1, n]."""
+    n, k = check_oracle_shape(oracle, n, k)
+    m_pt = dense_point_budget(n, k, c, oracle.noise.rho)
     check_plan((n - 1) * m_pt, "dense", n=n, k=k, rho=oracle.noise.rho, c=c)
 
     def values():

@@ -15,10 +15,18 @@ query interface: ``n``, ``k``, ``noise.rho``, ``query_count`` and
 row: a walk step's endpoint checks, or a block of leaf-chain steps the
 walk is sure to take), the one path that checks, charges, draws and
 counts, and its view ``query_batch`` (m queries of one value). An answer
-is read only as a count: the number of LEQ answers in a batch. Each
-answer is the next double of the oracle's generator, drawn in place in
-chunks of at most ``DRAW_BUFFER``, so the generator stands exactly
-``query_count`` doubles past its seed. ``Oracle.instance`` and the
+is read only as a count: the number of LEQ answers in a batch. Every
+query is charged. A batch whose LEQ probability is 0 or 1 (at rho = 1, y
+below the least item or at or above the greatest) is certain: it is
+counted 0 or m and draws nothing. Every other answer is the next double
+of the oracle's generator, so the generator stands exactly as many
+doubles past its seed as the uncertain queries it has answered. Doubles
+are drawn in place into one scratch of ``DRAW_BUFFER`` doubles per
+thread, however many oracles are alive. A call of more than one batch of
+at most ``MAX_2D_BATCH`` queries draws as many whole batches at a time
+as fit and counts them with one 2-D compare; every other batch is drawn
+alone and counted with one ``count_nonzero``, a scratch at a time if it
+is larger than the scratch. ``Oracle.instance`` and the
 ground-truth helper ``k_position_true`` are for the harness and tests only.
 Each argument rule is stated once, here, and returns the value it
 accepted: ``as_int`` (every integer), ``check_seed``, ``check_n_k``,
@@ -33,6 +41,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -49,15 +58,32 @@ class CapacityError(RuntimeError):
     """A brute-force oracle was asked for more work than its guard allows."""
 
 
-# an oracle draws its answers in place into one buffer of this many doubles
-# (64 KiB), so an estimate's memory stays in cache whatever its query budget
-DRAW_BUFFER = 1 << 13
+# each thread draws its oracles' answers in place into one scratch of this
+# many doubles (512 KiB), however many oracles are alive; nothing in it
+# outlives a call
+DRAW_BUFFER = 1 << 16
 
-# query_rows draws and counts whole batches with one 2-D compare when at
-# least this many of the call's batches fit in one draw: the 2-D count costs
-# about 3x per double what the 1-D count does, but saves a Python call per
-# batch; measured on a 2-core x86-64 box, the two meet near 1,700 doubles a batch
-ROWS_2D = 5
+# a call of more than one batch of at most this many queries is drawn as
+# many whole batches at a time as fit and counted with one 2-D compare,
+# any other batch is drawn and counted alone: the 2-D count costs more per
+# double but saves a Python call per batch. On a 2-core x86-64 box, over
+# full draws, 2-D took 0.72-0.95x the time of batch-alone from 1,200 to
+# 3,200 doubles a batch and 0.97-1.06x from 4,000 to 8,192, each reading
+# spread widely, so the crossover is not resolved; no benchmark workload's
+# batch size lies between 640 and 3,200, so none depends on where in that
+# span the bound sits
+MAX_2D_BATCH = 2000
+
+
+class _Scratch(threading.local):
+    """A thread's draw scratch: the importing thread's is made at import, any
+    other's on its first draw."""
+
+    def __init__(self):
+        self.buf = np.empty(DRAW_BUFFER)
+
+
+_scratch = _Scratch()
 
 # the most queries a solve may plan: 2^40 doubles take about 48 minutes at
 # 2.6 ns each, over 7,000x the largest plan the tests or the benchmark run
@@ -216,8 +242,6 @@ class Oracle:
         self._rng = generator(self.seed)
         self.query_count = 0
         self.n, self.k = self.instance.n, self.instance.k
-        # scratch for drawn doubles; nothing in it outlives a call
-        self._buf = np.empty(DRAW_BUFFER)
 
     def query_batch(self, y: int, m: int) -> int:
         """Perform m independent queries of y; returns the number of LEQ answers.
@@ -234,12 +258,10 @@ class Oracle:
         Every y, m and rows is checked before anything is drawn: a bool or
         float raises TypeError, a y outside [1, n] or a negative m or rows
         DomainError, and a rejected call charges nothing. Then
-        ``rows * len(ys) * m`` queries are charged and drawn, batch after
-        batch and row after row, in place into the buffer of DRAW_BUFFER
-        doubles. Where ROWS_2D of the call's batches fit in one draw, as
-        many whole batches as fit are drawn and counted at a time; else
-        each batch is counted a buffer at a time. The memory is
-        O(DRAW_BUFFER + rows * len(ys)).
+        ``rows * len(ys) * m`` queries are charged, and the batches whose
+        answers are not certain are drawn, batch after batch and row after
+        row, as the module docstring states. Beyond the thread's scratch
+        the memory is O(DRAW_BUFFER + rows * len(ys)).
         """
         ys = [as_int(y, "y", 1) for y in ys]
         m, rows = as_int(m, "m"), as_int(rows, "rows")
@@ -247,26 +269,33 @@ class Oracle:
             raise DomainError(f"y must be in [1, {self.n}], got {ys}")
         self.query_count += rows * len(ys) * m
         items, k, rho = self.instance.items, self.k, self.noise.rho
-        # batch i of the stream is m answers at probability ps[i]
-        ps = [leq_probability(bisect_right(items, y), k, rho) for y in ys] * rows
-        counts = np.empty(len(ps), dtype=np.int64)
-        if len(ps) >= ROWS_2D and 0 < m * ROWS_2D <= DRAW_BUFFER:
-            ps, per_draw = np.array(ps), DRAW_BUFFER // m
-            for i in range(0, len(ps), per_draw):
-                seg = ps[i:i + per_draw]
-                drawn = self._buf[:len(seg) * m]
+        ps = [leq_probability(bisect_right(items, y), k, rho) for y in ys]
+        # a batch of probability 0 or 1 is certain: it is counted 0 or m, not drawn;
+        # drawn batch i of the stream is m answers at probability drawn_ps[i]
+        drawn_ps = [p for p in ps if 0.0 < p < 1.0] * rows
+        xs, buf = np.empty(len(drawn_ps), dtype=np.int64), _scratch.buf
+        if m <= MAX_2D_BATCH and len(drawn_ps) > 1:
+            drawn_ps, per_draw = np.array(drawn_ps), DRAW_BUFFER // max(m, 1)
+            for i in range(0, len(drawn_ps), per_draw):
+                seg = drawn_ps[i:i + per_draw]
+                drawn = buf[:len(seg) * m].reshape(len(seg), m)
                 self._rng.random(out=drawn)
-                counts[i:i + len(seg)] = (drawn.reshape(len(seg), m) < seg[:, None]).sum(axis=1)
+                (drawn < seg[:, None]).sum(axis=1, out=xs[i:i + len(seg)])
         else:
-            for i, p in enumerate(ps):
+            for i, p in enumerate(drawn_ps):
                 x, left = 0, m
                 while left:
-                    drawn = self._buf[:min(left, DRAW_BUFFER)]
+                    drawn = buf[:min(left, DRAW_BUFFER)]
                     self._rng.random(out=drawn)
                     x += int(np.count_nonzero(drawn < p))
                     left -= len(drawn)
-                counts[i] = x
-        return counts.reshape(rows, len(ys))
+                xs[i] = x
+        if len(drawn_ps) == rows * len(ys):
+            return xs.reshape(rows, len(ys))
+        counts = np.empty((rows, len(ys)), dtype=np.int64)
+        counts[:] = [m if p == 1.0 else 0 for p in ps]
+        counts[:, [j for j, p in enumerate(ps) if 0.0 < p < 1.0]] = xs.reshape(rows, -1)
+        return counts
 
 
 def check_oracle_shape(oracle: Oracle, n: int, k: int) -> tuple[int, int]:

@@ -4,12 +4,15 @@ import random
 import numpy as np
 import pytest
 
-from multisearch.analysis import (berndiv_bound_check, binom_pmf,
+from multisearch.analysis import (berndiv_bound_check, binom_pmf, dense_law,
                                   estimator_success_prob, kl_bernoulli,
                                   ml_decode)
+from multisearch.dense import (dense_point_budget, multiset_from_profile, repair_monotone,
+                               solve_dense)
 from multisearch.kposition import _estimate
 from multisearch.model import (CapacityError, DomainError, NoiseModel, Oracle,
-                               make_instance)
+                               k_position_true, leq_probability, make_instance)
+from multisearch.seeds import derive_seed
 
 
 def test_kl_conventions():
@@ -136,3 +139,51 @@ def test_ml_decode_permutation_invariant():
 def test_ml_decode_capacity_guard():
     with pytest.raises(CapacityError):
         ml_decode([], 10**6, 4)
+
+
+@pytest.mark.parametrize("items, c, rho", [([1, 2, 3], 0.01, 0.75), ([2, 2, 3], 0.5, 0.8),
+                                           ([1, 1, 1], 0.01, 1.0)])
+def test_dense_law_is_the_repaired_profile_law(items, c, rho):
+    # n = 3: every pair of counts at y = 1, 2 through the solver's own
+    # repair and read-off, weighed by its binomial probability
+    inst = make_instance(3, len(items), items)
+    k, m = inst.k, dense_point_budget(3, inst.k, c, rho)
+    pmfs = [[binom_pmf(x, m, leq_probability(k_position_true(inst, y), k, rho))
+             for x in range(m + 1)] for y in (1, 2)]
+    fail = math.fsum(pmfs[0][x1] * pmfs[1][x2] for x1 in range(m + 1) for x2 in range(m + 1)
+                     if multiset_from_profile(repair_monotone(
+                         [_estimate(x1, m, k, rho), _estimate(x2, m, k, rho), k])) != list(items))
+    assert dense_law(inst, c, rho) == pytest.approx(fail, rel=1e-9, abs=1e-300)
+
+
+@pytest.mark.parametrize("n, k, items, c, rho, master", [
+    (4, 8, [1, 2, 2, 2, 3, 3, 3, 4], 0.01, 1.0, 301),
+    (6, 6, [1, 1, 2, 4, 4, 5], 0.01, 0.8, 302)])
+def test_dense_law_against_monte_carlo(n, k, items, c, rho, master):
+    # 4,000 solves at oracle seeds derive_seed(master, i); the failure rate is
+    # within |z| <= 4 of the exact law, and each solve draws (n - 1) times the
+    # per-point budget the law reads
+    inst = make_instance(n, k, items)
+    exact, trials = dense_law(inst, c, rho), 4000
+    fails = 0
+    for i in range(trials):
+        o = Oracle(inst, NoiseModel(rho), seed=derive_seed(master, i))
+        fails += sorted(solve_dense(o, n, k, c).recovered) != items
+        assert o.query_count == (n - 1) * dense_point_budget(n, k, c, rho)
+    z = (fails / trials - exact) / math.sqrt(exact * (1 - exact) / trials)
+    assert abs(z) <= 4, (exact, fails / trials, z)
+
+
+def test_dense_law_edges():
+    # forced and certain answers: one point, or rho = 1 with every item at n
+    assert dense_law(make_instance(1, 3, [1, 1, 1]), 1.0) == 0.0
+    assert dense_law(make_instance(8, 4, [8] * 4), 1.0) == 0.0
+    # k >> n at c = 2: the failure stays below n^-c
+    inst = make_instance(8, 64, [1 + i % 8 for i in range(64)])
+    assert 0 < dense_law(inst, 2.0) < 8.0 ** -2
+    with pytest.raises(TypeError):
+        dense_law(inst, True)
+    with pytest.raises(DomainError):
+        dense_law(inst, 0.0)
+    with pytest.raises(TypeError):
+        dense_law([1, 2], 1.0)

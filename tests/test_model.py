@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 from multisearch.analysis import binom_pmf
 from multisearch.instances import sample_instance
 from multisearch.kposition import estimate_k_position
-from multisearch.model import (DRAW_BUFFER, ROWS_2D, DomainError, Instance,
+from multisearch.model import (DRAW_BUFFER, MAX_2D_BATCH, DomainError, Instance,
                                NoiseModel, Oracle, k_position_true,
                                leq_probability, make_instance)
 
@@ -165,10 +167,10 @@ def test_query_count_accounting():
 
 
 @pytest.mark.parametrize("rho", [1.0, 0.9])
-@pytest.mark.parametrize("m", [1, 2 * DRAW_BUFFER - 1, 2 * DRAW_BUFFER, 2 * DRAW_BUFFER + 1,
-                               6 * DRAW_BUFFER + 5])
+@pytest.mark.parametrize("m", [1, 16383, 16384, 16385, 49157])
 def test_query_batch_is_the_query_stream(rho, m):
-    # counting through the refilled buffer reads the same answers as m single queries
+    # a batch reads the same answers as m single queries; the reference-stream
+    # test reads batches across the scratch's refills
     inst = make_instance(16, 2, [3, 10])
     a = Oracle(inst, NoiseModel(rho), seed=5)
     b = Oracle(inst, NoiseModel(rho), seed=5)
@@ -197,12 +199,13 @@ def test_query_batch_rejects_non_integral_y():
 
 @pytest.mark.parametrize("rho", [1.0, 0.9])
 def test_query_batch_reads_the_reference_stream(rho):
-    # a mixed sequence of batches and single queries, straddling the
-    # buffer's refills, counts the answers of one unbuffered draw of the
-    # seed's doubles, in order, none skipped or repeated
+    # a mixed sequence of batches and single queries, straddling the 2-D
+    # bound and the scratch's refills, counts the answers of one unbuffered
+    # draw of the seed's doubles, in order, none skipped or repeated; a batch
+    # of probability 0 or 1 (at rho = 1, y = 2 and y = 16) reads no double
     inst = make_instance(16, 2, [3, 10])
-    sizes = [0, 1, DRAW_BUFFER - 1, DRAW_BUFFER, DRAW_BUFFER + 1, 3200, 2 * DRAW_BUFFER + 1,
-             6 * DRAW_BUFFER + 5]
+    sizes = [0, 1, MAX_2D_BATCH - 1, MAX_2D_BATCH, MAX_2D_BATCH + 1, 3200, DRAW_BUFFER - 1,
+             DRAW_BUFFER, DRAW_BUFFER + 1, 2 * DRAW_BUFFER + 1, 6 * DRAW_BUFFER + 5]
     calls = []  # (y, m) is query_batch(y, m)
     for i, m in enumerate(sizes + sizes[::-1]):
         y = [8, 4, 2, 16][i % 4]
@@ -210,49 +213,64 @@ def test_query_batch_reads_the_reference_stream(rho):
     total = sum(m for _, m in calls)
     doubles = np.random.Generator(np.random.PCG64(11)).random(total)
     o = Oracle(inst, NoiseModel(rho), seed=11)
-    pos = 0
+    pos = charged = 0
     for y, m in calls:
         p = leq_probability(k_position_true(inst, y), inst.k, rho)
-        assert o.query_batch(y, m) == np.count_nonzero(doubles[pos:pos + m] < p)
-        pos += m
-        assert o.query_count == pos
+        if p in (0.0, 1.0):
+            assert o.query_batch(y, m) == m * p
+        else:
+            assert o.query_batch(y, m) == np.count_nonzero(doubles[pos:pos + m] < p)
+            pos += m
+        charged += m
+        assert o.query_count == charged
         # a rejected call counts nothing and leaves the stream where it was
         for bad_y, bad_m in [(8, -1), (0, 1), (2.5, 1)]:
             with pytest.raises((DomainError, TypeError)):
                 o.query_batch(bad_y, bad_m)
-        assert o.query_count == pos
-    assert pos == total
+        assert o.query_count == charged
+    ref = np.random.PCG64(11)
+    ref.advance(pos)
+    assert o._rng.bit_generator.state == ref.state
+    assert charged == total and (pos < total) == (rho == 1.0)
 
 
 def test_oracle_draws_only_the_answers_it_counts():
-    # each answer is one double of the generator, so after any sequence of
-    # calls, rejected ones included, the generator stands exactly
-    # query_count doubles past its seed: nothing is drawn ahead
+    # each answer the oracle cannot know is one double of the generator, so
+    # after any sequence of calls, rejected ones included, the generator
+    # stands exactly the uncertain queries' count of doubles past its seed:
+    # nothing is drawn ahead, and a batch of probability 0 or 1 draws nothing
     inst = make_instance(16, 2, [3, 10])
-    o = Oracle(inst, NoiseModel(0.9), seed=21)
-    calls = [lambda: o.query_batch(8, 0), lambda: o.query_rows([4, 12], 512, 0),
-             lambda: o.query_batch(4, 100), lambda: o.query_batch(12, 1),
-             # 5 batches of 1,638 fit the buffer, 5 of 1,639 do not
-             lambda: o.query_rows([8], DRAW_BUFFER // ROWS_2D, 11),
-             lambda: o.query_rows([4, 12], DRAW_BUFFER // ROWS_2D + 1, 3),
-             lambda: o.query_batch(8, 2 * DRAW_BUFFER + 3),
-             lambda: o.query_rows([2], 3000, 4), lambda: o.query_rows([2, 16], 7, 40),
-             # at m = 512 one draw holds 16 batches: 4 batches are counted
-             # one at a time, 5 with one 2-D compare
-             lambda: o.query_rows([4, 12], 512, 2), lambda: o.query_rows([8], 512, 5)]
-    for call in calls:
-        call()
+    calls = [([8], 0, 1), ([4, 12], 512, 0), ([4], 100, 1), ([12], 1, 1),
+             # the 2-D bound: batches of MAX_2D_BATCH are counted with one
+             # 2-D compare, of MAX_2D_BATCH + 1 one at a time
+             ([8], MAX_2D_BATCH - 1, 11), ([8], MAX_2D_BATCH, 11), ([4, 12], MAX_2D_BATCH + 1, 3),
+             # the scratch: DRAW_BUFFER is one whole batch, one more is two draws
+             ([4, 12], DRAW_BUFFER - 1, 2), ([8], DRAW_BUFFER, 3), ([4, 12], DRAW_BUFFER + 1, 2),
+             ([8], 2 * DRAW_BUFFER + 3, 1), ([2], 3000, 4), ([2, 16], 7, 40),
+             # certain and uncertain columns in one call, on every path
+             ([2, 8, 16], 512, 9), ([1, 12], 1, 1), ([16, 4], MAX_2D_BATCH, 5),
+             ([9, 2], MAX_2D_BATCH + 1, 3), ([1, 5, 10], DRAW_BUFFER + 1, 2), ([16, 1], 640, 3),
+             # at m = 512 one draw holds 128 batches; a lone batch is counted flat
+             ([4, 12], 512, 2), ([8], 512, 1)]
+    for rho in (0.9, 1.0):
+        o = Oracle(inst, NoiseModel(rho), seed=21)
+        drawn = 0
+        for ys, m, rows in calls:
+            o.query_rows(ys, m, rows)
+            # at rho = 1, K_y = 0 (y < 3) or K_y = k (y >= 10) is certain
+            drawn += rows * m * sum(rho < 1 or 0 < k_position_true(inst, y) < inst.k for y in ys)
+            ref = np.random.PCG64(21)
+            ref.advance(drawn)
+            assert o._rng.bit_generator.state == ref.state, (rho, ys, m, rows)
+        assert (drawn == o.query_count) == (rho < 1)
+        with pytest.raises(DomainError):
+            o.query_rows([8, 17], 100, 2)
         ref = np.random.PCG64(21)
-        ref.advance(o.query_count)
-        assert o._rng.bit_generator.state == ref.state, o.query_count
-    with pytest.raises(DomainError):
-        o.query_rows([8, 17], 100, 2)
-    ref = np.random.PCG64(21)
-    ref.advance(o.query_count)
-    assert o._rng.bit_generator.state == ref.state
+        ref.advance(drawn)
+        assert o._rng.bit_generator.state == ref.state
 
 
-@pytest.mark.parametrize("m", [0, 1, 640, DRAW_BUFFER + 1, -1])
+@pytest.mark.parametrize("m", [0, 1, 640, 8193, DRAW_BUFFER + 1, -1])
 def test_query_batch_is_one_row_of_query_rows(m):
     # the same count, charge and generator state, or for a rejected call
     # the same error, nothing charged and the stream where it was
@@ -286,8 +304,8 @@ def test_query_batch_goes_through_query_rows(monkeypatch):
 
 
 def test_oracle_memory_is_bounded():
-    # an oracle keeps at most DRAW_BUFFER drawn doubles between calls,
-    # whatever batches it has served
+    # an oracle keeps no drawn doubles between calls, whatever batches it
+    # has served: they live in the thread's scratch
     o = Oracle(make_instance(16, 2, [3, 10]), NoiseModel(0.9), seed=0)
     tracemalloc.start()
     try:
@@ -295,14 +313,14 @@ def test_oracle_memory_is_bounded():
         for m in (1, 512, 2**20):
             o.query_batch(8, m)
             current, _ = tracemalloc.get_traced_memory()
-            assert current - base <= 8 * DRAW_BUFFER + 4096, (m, current - base)
+            assert current - base <= 4096, (m, current - base)
     finally:
         tracemalloc.stop()
 
 
 def test_query_batch_allocates_no_drawn_doubles():
-    # a batch draws into the oracle's own buffer in place: its peak is one
-    # boolean compare mask of the buffer, whatever m is
+    # a batch draws into the thread's scratch in place: its peak is one
+    # boolean compare mask of the scratch, whatever m is
     o = Oracle(make_instance(16, 2, [3, 10]), NoiseModel(0.9), seed=0)
     tracemalloc.start()
     try:
@@ -313,13 +331,72 @@ def test_query_batch_allocates_no_drawn_doubles():
     assert peak <= DRAW_BUFFER + 4096, peak
 
 
+def test_live_oracles_share_one_scratch():
+    # drawn doubles live in one scratch per thread, not one per oracle: 64
+    # live oracles that have each drawn grow the traced memory by no more
+    # than their own bookkeeping (about 1 KiB each) over one such oracle
+    inst = make_instance(16, 2, [3, 10])
+    Oracle(inst, seed=0).query_rows([4, 12], 512, 40)  # this thread's scratch exists
+
+    def growth(count):
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            live = [Oracle(inst, NoiseModel(0.9), seed=i) for i in range(count)]
+            for o in live:
+                o.query_rows([4, 12], 512, 40)
+            current, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return current - base
+
+    one, many = growth(1), growth(64)
+    assert many - one <= 63 * 4096, (one, many)
+
+
+def test_oracles_in_two_threads_draw_their_own_streams():
+    # two oracles driven at once from two threads count what the same
+    # calls made one after the other count: each thread draws into its own
+    # scratch, on every count path; a short switch interval makes the
+    # threads trade the interpreter between and inside calls
+    inst = make_instance(16, 4, [3, 5, 5, 10])
+    calls = [([4, 8], 512, 60), ([9], MAX_2D_BATCH + 1, 30), ([2, 6, 16], 640, 40),
+             ([5], DRAW_BUFFER, 4), ([4, 12], DRAW_BUFFER + 1, 2), ([8], 3 * DRAW_BUFFER, 1)] * 4
+
+    def drive(oracle, out, start=None):
+        if start is not None:
+            start.wait(timeout=30)
+        out.extend(oracle.query_rows(*call).tolist() for call in calls)
+
+    interval = sys.getswitchinterval()
+    for rho in (1.0, 0.9):
+        oracles = [Oracle(inst, NoiseModel(rho), seed=s) for s in (31, 32)]
+        got, start = ([], []), threading.Barrier(2)
+        threads = [threading.Thread(target=drive, args=(o, out, start))
+                   for o, out in zip(oracles, got)]
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        want = ([], [])
+        for s, out in zip((31, 32), want):
+            drive(Oracle(inst, NoiseModel(rho), seed=s), out)
+        assert got == want
+        assert [o.query_count for o in oracles] == [sum(len(ys) * m * r for ys, m, r in calls)] * 2
+
+
 @pytest.mark.parametrize("rho", [1.0, 0.75])
 @pytest.mark.parametrize("ys", [[8], [4, 12]], ids=["one_y", "two_ys"])
-@pytest.mark.parametrize("m", [1, 512, 3200, DRAW_BUFFER - 1, DRAW_BUFFER + 1,
-                               2 * DRAW_BUFFER + 1])
+@pytest.mark.parametrize("m", [1, 512, MAX_2D_BATCH, MAX_2D_BATCH + 1, 3200, 8191, 8193, 16385,
+                               DRAW_BUFFER - 1, DRAW_BUFFER + 1])
 def test_query_rows_is_the_query_stream(rho, ys, m):
     # rows of counts are the query_batch calls they stand for, made row
-    # after row; successive calls start at other points of the buffer
+    # after row; successive calls start at other points of the stream
     inst = make_instance(16, 2, [3, 10])
     a = Oracle(inst, NoiseModel(rho), seed=9)
     b = Oracle(inst, NoiseModel(rho), seed=9)
@@ -341,8 +418,8 @@ def test_query_rows_is_the_query_stream(rho, ys, m):
 
 
 def test_query_rows_allocates_no_drawn_doubles():
-    # like a batch, a block of rows counts in the oracle's own buffer: its
-    # peak is one boolean compare mask of the buffer, numpy's cast buffer
+    # like a batch, a block of rows counts in the thread's scratch: its
+    # peak is one boolean compare mask of the scratch, numpy's cast buffer
     # of the 2-D row sums and O(rows) counts, whatever m is
     bound = DRAW_BUFFER + 8 * np.getbufsize() + 4096
     peaks = {}
