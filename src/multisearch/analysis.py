@@ -1,15 +1,18 @@
 """Independent verification oracles.
 
 Everything here is exact or brute-force and deliberately shares no code
-path with the solvers it checks, except the rounding pipeline and the
-query law ``model.leq_probability``, shared on purpose so that neither
-can drift apart from what it checks:
+path with the solvers it checks, except the rounding pipeline, read as
+``kposition.count_threshold``'s integer thresholds, and the query law
+``model.leq_probability``, shared on purpose so that neither can drift
+apart from what it checks. A law sums the binomial mass of the counts
+between two thresholds (``_binom_mass``, in arrays of bounded size):
 
 - ``kl_bernoulli`` / ``berndiv_bound_check``: closed-form KL divergence
   in bits, and the numeric check that KL(B_{p +- eps} || B_p) stays below
   32 eps^2 / (3 ln 2) on its stated domain.
 - ``estimator_success_prob``: exact binomial probability that the
-  k-position estimate pipeline returns the truth.
+  k-position estimate pipeline returns the truth, the mass of the counts
+  from X_t to X_{t+1} for t the true k-position.
 - ``ml_decode``: brute-force maximum-likelihood recovery of the hidden
   multiset from (y, m, x) batches, each one ``Oracle.query_batch(y, m)``
   call and its LEQ count x, for desk-scale instances only.
@@ -24,14 +27,20 @@ import math
 from bisect import bisect_right
 from itertools import combinations_with_replacement
 
+import numpy as np
+
 from .dense import dense_point_budget
-from .kposition import _estimate, count_threshold
-from .model import (CapacityError, DomainError, Instance, as_int, check_n_k, check_rho,
-                    k_position_true, leq_probability)
+from .kposition import count_threshold
+from .model import (CapacityError, DomainError, Instance, as_int, check_n_k, check_plan,
+                    check_rho, k_position_true, leq_probability)
 
 _NEG_INF = float("-inf")
 
 ML_DECODE_MAX_CANDIDATES = 10_000_000
+
+# the most counts ``_binom_mass`` holds in one array (512 KiB of doubles),
+# so a law's memory does not grow with the budget it sums over
+MASS_CHUNK = 1 << 16
 
 
 def kl_bernoulli(p: float, q: float) -> float:
@@ -67,34 +76,52 @@ def binom_pmf(x: int, m: int, p: float) -> float:
         return float(x == 0)
     if p == 1.0:
         return float(x == m)
-    log_pmf = (math.lgamma(m + 1) - math.lgamma(x + 1) - math.lgamma(m - x + 1)
-               + x * math.log(p) + (m - x) * math.log1p(-p))
-    return math.exp(log_pmf)
+    return math.exp(_log_binom_pmf(x, m, p))
+
+
+def _log_binom_pmf(x: int, m: int, p: float) -> float:
+    """log Pr[Binomial(m, p) = x] for 0 < p < 1."""
+    return (math.lgamma(m + 1) - math.lgamma(x + 1) - math.lgamma(m - x + 1)
+            + x * math.log(p) + (m - x) * math.log1p(-p))
 
 
 def estimator_success_prob(k: int, m: int, k_true: int, rho: float = 1.0) -> float:
     """Exact probability that the m-query estimate returns k_true.
 
-    Sums the binomial law of the LEQ count over exactly those counts the
-    shared rounding pipeline maps back to k_true; the arguments are
-    checked once, before the sum.
+    The estimate is k_true exactly for the counts in [X_k_true, X_k_true+1)
+    of the shared thresholds ``count_threshold`` (X_0 = 0), so this is the
+    binomial mass of that window; the arguments are checked once, first.
     """
     k, m, rho = as_int(k, "k", 1), as_int(m, "m", 1), check_rho(rho)
     k_true = as_int(k_true, "k_true")
     if k_true > k:
         raise DomainError(f"k_true must be in [0, {k}], got {k_true}")
-    p = leq_probability(k_true, k, rho)
-    return math.fsum(binom_pmf(x, m, p) for x in range(m + 1)
-                     if _estimate(x, m, k, rho) == k_true)
+    lo = count_threshold(k_true, m, k, rho) if k_true else 0
+    return _binom_mass(lo, count_threshold(k_true + 1, m, k, rho), m,
+                       leq_probability(k_true, k, rho))
 
 
 def _binom_mass(lo: int, hi: int, m: int, p: float) -> float:
     """Pr[lo <= Binomial(m, p) < hi], summed over the counts within
     20 sqrt(m) of the mean (and a few more for rounding): by Hoeffding,
-    the mass beyond them is below 2 e^-800, under the least double."""
+    the mass beyond them is below 2 e^-800, under the least double.
+
+    The window is summed in arrays of at most ``MASS_CHUNK`` counts: the
+    log pmf at a chunk's low end by ``math.lgamma``, then a running sum of
+    log pmf(x+1)/pmf(x) = log((m-x)/(x+1) p/(1-p)).
+    """
+    if p == 0.0 or p == 1.0:
+        certain = 0 if p == 0.0 else m
+        return float(lo <= certain < hi)
     reach = 20 * math.isqrt(m) + 21
     lo, hi = max(lo, math.floor(m * p) - reach), min(hi, math.ceil(m * p) + reach)
-    return math.fsum(binom_pmf(x, m, p) for x in range(lo, hi))
+    log_odds, total = math.log(p) - math.log1p(-p), 0.0
+    for start in range(lo, hi, MASS_CHUNK):
+        x = np.arange(start, min(start + MASS_CHUNK, hi) - 1, dtype=np.float64)
+        steps = np.cumsum(np.log((m - x) / (x + 1.0)) + log_odds)
+        log_pmf = _log_binom_pmf(start, m, p) + np.concatenate(([0.0], steps))
+        total += float(np.exp(log_pmf).sum())
+    return total
 
 
 def dense_law(instance: Instance, c: float, rho: float = 1.0) -> float:
@@ -106,12 +133,14 @@ def dense_law(instance: Instance, c: float, rho: float = 1.0) -> float:
     of distinct y are independent, so the success is a product over y;
     it is carried as the sum of log1p(-f_y), f_y the binomial mass of the
     counts that fail at y, and the failure is returned as -expm1 of that
-    sum, never as 1 - success.
+    sum, never as 1 - success. A plan ``solve_dense`` refuses
+    (``model.check_plan``) raises the same DomainError here.
     """
     if not isinstance(instance, Instance):
         raise TypeError(f"instance must be an Instance, got {instance!r}")
     n, k, rho = instance.n, instance.k, check_rho(rho)
     m = dense_point_budget(n, k, c, rho)
+    check_plan((n - 1) * m, "dense", n=n, k=k, rho=rho, c=c)
     log_success, below = 0.0, 0
     for y in range(1, n):
         ky = k_position_true(instance, y)

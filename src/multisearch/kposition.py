@@ -7,9 +7,15 @@ of queries by rounding the empirical LEQ fraction to the nearest multiple
 of 1/k. ``queries_for_confidence`` gives the sample budget for a target
 failure probability; with comparison noise the budget scales by
 (2*rho - 1)^-2 and the raw fraction is de-biased through the exact
-inverse of ``leq_probability``; ``_estimate`` states the de-biasing and the
-grid rounding. An estimate is its k-position alone. ``estimate_k_position``
-states the forced ends y = 0 and y = n; the oracle range-checks every other y.
+inverse of ``leq_probability``. The rounding is stated once, as integer
+thresholds: the estimate is >= t exactly when the count x out of m
+exceeds m q_t, q_t the LEQ probability at k-position t - 1/2, so
+``_threshold`` gives X_t = floor(m q_t) + 1 in closed form, and
+``count_threshold`` and ``_estimate`` read it. Thresholds and budgets are
+computed in integers on rho's binary value (``model.check_rho``), so no
+double rounds a tie or a ceiling. An estimate is its k-position alone.
+``estimate_k_position`` states the forced ends y = 0 and y = n; the
+oracle range-checks every other y.
 """
 
 from __future__ import annotations
@@ -41,26 +47,42 @@ def _queries_for_exponent(k: int, log2_inv_delta: float, rho: float) -> int:
     """The budget of ``queries_for_confidence`` for delta = 2^-log2_inv_delta.
 
     Callers that derive a per-estimate delta pass its exponent, so a delta
-    too small for a double still gets its finite budget.
+    too small for a double still gets its finite budget. The ceiling is
+    taken exactly, in integers, on the binary values of the exponent and
+    of rho, so a budget is never below the Hoeffding bound it states.
     """
-    m = 2.0 * k * k * (1.0 + log2_inv_delta) / (2.0 * rho - 1.0) ** 2
-    if not math.isfinite(m):
+    try:
+        u, v = log2_inv_delta.as_integer_ratio()
+    except (OverflowError, ValueError):
         raise DomainError("no finite query budget for a per-estimate failure "
-                          f"probability of 2^-{log2_inv_delta}")
-    return math.ceil(m)
+                          f"probability of 2^-{log2_inv_delta}") from None
+    a, d = rho.as_integer_ratio()
+    # 2 k^2 (1 + u/v) / ((2a - d)/d)^2
+    return -(-2 * k * k * (v + u) * d * d // (v * (2 * a - d) ** 2))
+
+
+def _threshold(t: int, m: int, k: int, a: int, d: int) -> int:
+    """X_t for rho = a/d, in integers: the least count x with x > m q_t,
+    where q_t = (1 - rho) + (2 rho - 1)(2t - 1)/(2k) is ``leq_probability``
+    at k-position t - 1/2. q_t < 1 for t <= k, so X_t <= m; past k it is m + 1."""
+    if t > k:
+        return m + 1
+    return m * (2 * k * (d - a) + (2 * a - d) * (2 * t - 1)) // (2 * k * d) + 1
 
 
 def _estimate(x: int, m: int, k: int, rho: float) -> int:
     """The rounding pipeline, for arguments already checked.
 
-    The de-biased fraction is rounded to the nearest point i/k of the grid,
-    a tie to the smaller i, and clamped, so a fraction outside [0, 1] reads
-    as 0 or k. This is the one statement of the rounding: the live
-    estimator, ``count_threshold`` and the exact success-probability oracle
-    in ``analysis`` all read counts through it, so they can never disagree.
+    The de-biased fraction (x/m - (1 - rho))/(2 rho - 1) is rounded to the
+    nearest point i/k of the grid, a tie to the smaller i, and clamped, so
+    a fraction outside [0, 1] reads as 0 or k. That is the number of
+    t <= k whose threshold x reaches, read off ``_threshold``, the one
+    statement of the rounding: the live estimator, ``count_threshold`` and
+    the exact laws in ``analysis`` all read counts through it, so they can
+    never disagree.
     """
-    i = math.ceil((x / m - (1.0 - rho)) / (2.0 * rho - 1.0) * k - 0.5)
-    return min(max(i, 0), k)
+    a, d = rho.as_integer_ratio()
+    return least(1, k + 1, lambda t: x < _threshold(t, m, k, a, d)) - 1
 
 
 def count_threshold(t: int, m: int, k: int, rho: float = 1.0) -> int:
@@ -68,12 +90,11 @@ def count_threshold(t: int, m: int, k: int, rho: float = 1.0) -> int:
 
     The estimate is monotone in the count, so for one (t, m, k, rho) the
     checks k_pos <= t - 1 and k_pos >= t become x < X_t and x >= X_t.
-    The arguments are checked once; the threshold is then found by
-    ``model.least`` on ``_estimate``, so the rounding is still stated only
-    there.
+    The arguments are checked once; X_t is then ``_threshold``'s closed
+    form, exact for any budget m.
     """
     t, k, m, rho = as_int(t, "t", 1), as_int(k, "k", 1), as_int(m, "m", 1), check_rho(rho)
-    return least(0, m + 1, lambda x: _estimate(x, m, k, rho) >= t)
+    return _threshold(t, m, k, *rho.as_integer_ratio())
 
 
 def estimate_k_position(oracle: Oracle, y: int, m: int) -> KPosEstimate:

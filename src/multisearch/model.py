@@ -132,7 +132,7 @@ class NoiseModel:
     rho: float = 1.0
 
     def __post_init__(self):
-        check_rho(self.rho)
+        object.__setattr__(self, "rho", check_rho(self.rho))
 
 
 def as_int(value, name: str, low: int = 0) -> int:
@@ -186,12 +186,17 @@ def generator(seed) -> np.random.Generator:
 
 
 def check_rho(rho: float) -> float:
-    """rho once checked: a comparison is right with probability in (1/2, 1]."""
+    """rho once checked, as a double: a comparison is right with probability
+    in (1/2, 1].
+
+    rho means the binary value of that double, a/d = ``rho.as_integer_ratio()``,
+    not the decimal it was written as: 0.9 is 0.90000000000000002220... The
+    thresholds and budgets of ``kposition`` are exact on it, in integers."""
     if isinstance(rho, (bool, np.bool_)):
         raise TypeError(f"rho must be a probability, got {rho!r}")
     if not 0.5 < rho <= 1.0:
         raise DomainError(f"rho must be in (1/2, 1], got {rho}")
-    return rho
+    return float(rho)
 
 
 def check_delta(delta: float) -> float:

@@ -4,11 +4,12 @@ import random
 import numpy as np
 import pytest
 
-from multisearch.analysis import (berndiv_bound_check, binom_pmf, dense_law,
-                                  estimator_success_prob, kl_bernoulli,
+from multisearch.analysis import (MASS_CHUNK, _binom_mass, berndiv_bound_check, binom_pmf,
+                                  dense_law, estimator_success_prob, kl_bernoulli,
                                   ml_decode)
 from multisearch.dense import (dense_point_budget, multiset_from_profile, repair_monotone,
                                solve_dense)
+from multisearch.instances import sample_instance
 from multisearch.kposition import _estimate
 from multisearch.model import (CapacityError, DomainError, NoiseModel, Oracle,
                                k_position_true, leq_probability, make_instance)
@@ -172,6 +173,45 @@ def test_dense_law_against_monte_carlo(n, k, items, c, rho, master):
         assert o.query_count == (n - 1) * dense_point_budget(n, k, c, rho)
     z = (fails / trials - exact) / math.sqrt(exact * (1 - exact) / trials)
     assert abs(z) <= 4, (exact, fails / trials, z)
+
+
+@pytest.mark.parametrize("m, p", [(512, 0.125), (640, 0.9), (3200, 0.3375), (4000, 0.5)])
+def test_binom_mass_is_the_pmf_sum(m, p):
+    # the running-sum window against pmf by pmf, in the tails, at the mode
+    # and over every count
+    mu, root = round(m * p), math.isqrt(m)
+    for lo, hi in ((0, mu - 3 * root), (mu + 2 * root, m + 1), (mu - 10, mu + 10), (0, m + 1)):
+        expected = math.fsum(binom_pmf(x, m, p) for x in range(lo, hi))
+        assert _binom_mass(lo, hi, m, p) == pytest.approx(expected, rel=1e-10, abs=0.0)
+    assert _binom_mass(5, 5, m, p) == 0.0
+    assert [_binom_mass(0, 1, m, 0.0), _binom_mass(0, m, m, 1.0)] == [1.0, 0.0]
+
+
+def test_binom_mass_across_chunks():
+    # at dense_large_k's budget a window spans several chunks; each side's
+    # log pmf carries lgamma(m + 1) ~ 3.3e8 times the double's 2.2e-16
+    m, p = 20_971_520, 0.5
+    mu = m // 2
+    for lo, hi in ((mu - 10, mu + 10), (mu - 5_000, mu - 4_999 + MASS_CHUNK)):
+        expected = math.fsum(binom_pmf(x, m, p) for x in range(lo, hi))
+        assert _binom_mass(lo, hi, m, p) == pytest.approx(expected, rel=2e-7, abs=0.0)
+
+
+def test_dense_law_refuses_the_plans_solve_dense_refuses():
+    inst = make_instance(8, 2, [3, 6])
+    for c, rho in ((1e307, 1.0), (1.0, 0.5000000001)):
+        with pytest.raises(DomainError, match="dense plans"):
+            solve_dense(Oracle(inst, NoiseModel(rho)), 8, 2, c)
+        with pytest.raises(DomainError, match="dense plans"):
+            dense_law(inst, c, rho)
+
+
+def test_dense_law_at_the_dense_large_k_config():
+    # n^-c holds at the dense_large_k workload's own config: a uniform
+    # instance with n = 8, k = 1024, per-point budget 20,971,520, c = 2
+    inst = sample_instance(8, 1024, "with-replacement", derive_seed(derive_seed(7, 0), 1))
+    assert dense_point_budget(8, 1024, 2.0, 1.0) == 20_971_520
+    assert 0 < dense_law(inst, 2.0) <= 8.0 ** -2
 
 
 def test_dense_law_edges():

@@ -1,3 +1,7 @@
+import math
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
 from multisearch.analysis import estimator_success_prob
@@ -5,6 +9,7 @@ from multisearch.kposition import (_estimate, count_threshold, estimate_k_positi
                                    queries_for_confidence)
 from multisearch.model import DomainError, NoiseModel, Oracle, make_instance
 from multisearch.seeds import derive_seed
+from multisearch.walker import WalkConfig
 
 
 def test_budget_examples():
@@ -98,8 +103,77 @@ def test_count_threshold_past_ssize_t(m):
     x_t = count_threshold(1, m, 2, 1.0)
     assert _estimate(x_t - 1, m, 2, 1.0) < 1 <= _estimate(x_t, m, 2, 1.0)
     if m == 2**70:
-        # x / m first rounds above 1/4 past half an ulp of 1/4, 2^15 counts
-        assert x_t == 2**68 + 32_769
+        # the least count above m/4, exactly: no double rounds x / m
+        assert x_t == 2**68 + 1
+
+
+def _reference_estimates(m, k, rho):
+    # the stated rule in exact rationals on rho's binary value: the de-biased
+    # fraction (x/m - (1 - rho)) / (2 rho - 1) times k, rounded to the nearest
+    # integer, a tie to the smaller, and clamped to [0, k]; that is
+    # ceil(x * step - start), taken over the common denominator d
+    r = Fraction(rho)
+    step, start = k / ((2 * r - 1) * m), (1 - r) * k / (2 * r - 1) + Fraction(1, 2)
+    d = math.lcm(step.denominator, start.denominator)
+    a, b = int(step * d), int(start * d)
+    return [min(max(-((b - a * x) // d), 0), k) for x in range(m + 1)]
+
+
+def _reference_thresholds(ests, k):
+    # X_t, t = 1..k+1: the least count whose estimate is >= t, or m + 1
+    return [next((x for x, e in enumerate(ests) if e >= t), len(ests)) for t in range(1, k + 2)]
+
+
+def test_thresholds_and_estimates_match_the_exact_rule():
+    for rho in (1.0, 0.9, 0.75, 0.6):
+        for k in range(1, 17):
+            for m in range(1, 65):
+                ests = _reference_estimates(m, k, rho)
+                assert [_estimate(x, m, k, rho) for x in range(m + 1)] == ests, (rho, k, m)
+                assert ([count_threshold(t, m, k, rho) for t in range(1, k + 2)]
+                        == _reference_thresholds(ests, k)), (rho, k, m)
+
+
+def test_thresholds_at_the_walker_budgets():
+    # every t at both step budgets of the walker_small_k (k = 8, rho = 1) and
+    # walker_noisy (k = 16, rho = 0.9) configs; at rho = 0.9 thresholds 5-8
+    # sit one below 0.9's decimal value, since its double is slightly above
+    for n, k, rho in ((4096, 8, 1.0), (1024, 16, 0.9)):
+        cfg = WalkConfig.for_problem(n, k, 0.1, rho)
+        for m in (cfg.step1_m, cfg.step2_m):
+            ref = _reference_thresholds(_reference_estimates(m, k, rho), k)
+            assert [count_threshold(t, m, k, rho) for t in range(1, k + 2)] == ref, (k, m)
+    assert [count_threshold(t, 3200, 16, 0.9) for t in range(5, 9)] == [1040, 1200, 1360, 1520]
+    assert [count_threshold(t, 4000, 16, 0.9) for t in range(5, 9)] == [1300, 1500, 1700, 1900]
+
+
+def test_ties_go_to_the_smaller_index():
+    # 21/38 of k = 19 is 10.5 exactly, a tie, which doubles round up to 11
+    assert _estimate(21, 38, 19, 1.0) == 10
+    assert _estimate(22, 38, 19, 1.0) == 11
+    # 2888 * 21/38 = 1596 is the tie, so an estimate of 11 needs 1597
+    assert count_threshold(11, 2888, 19, 1.0) == 1597
+
+
+def test_rho_is_read_as_its_double():
+    # 9/10 passed exactly still means the double 0.9, slightly above 9/10,
+    # whose fifth threshold at m = 3200 is 1040 where 9/10's is 1041
+    assert count_threshold(5, 3200, 16, Fraction(9, 10)) == count_threshold(5, 3200, 16, 0.9) == 1040
+    assert count_threshold(1, 4, 2, np.int64(1)) == count_threshold(1, 4, 2, 1.0) == 2
+    assert type(NoiseModel(np.int64(1)).rho) is float
+
+
+def test_budgets_are_the_exact_ceiling():
+    # ceil(2 k^2 (1 + log2(1/delta)) / (2 rho - 1)^2) on rho's binary value;
+    # at rho = 0.62, k = 3, delta = 1/8 a ceiling in doubles gives 1250, one short
+    assert queries_for_confidence(3, 1 / 8, rho=0.62) == 1251
+    for i in range(51, 101):
+        rho = i / 100
+        r = Fraction(rho)
+        for delta, exponent in ((1 / 8, 3), (1 / 16, 4)):
+            for k in range(1, 200, 6):
+                exact = math.ceil(2 * k * k * (1 + exponent) / (2 * r - 1) ** 2)
+                assert queries_for_confidence(k, delta, rho) == exact, (rho, delta, k)
 
 
 def test_count_threshold_rejects_empty_budget():
